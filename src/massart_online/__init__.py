@@ -15,7 +15,6 @@ from .harness import (
     EnvironmentViolation,
     run_bandit_experiment,
     run_halfspace_experiment,
-    verify_oracles,
 )
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
@@ -36,5 +35,4 @@ __all__ = [
     "run_bandit_experiment",
     "run_halfspace_experiment",
     "seeded_rng",
-    "verify_oracles",
 ]

@@ -7,10 +7,16 @@ Exit codes: 0 ok, 2 config error, 3 oracle failure, 4 environment violation.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import (
+    ADVERSARIES,
+    CONFIG_KEYS,
+    ENVIRONMENTS,
+    BanditConfig,
     ConfigError,
+    HalfspaceConfig,
     bandit_config_from,
     halfspace_config_from,
     load_config_file,
@@ -21,9 +27,9 @@ from .harness import (
     run_bandit_experiment,
     run_halfspace_experiment,
     run_many,
-    verify_oracles,
     write_report,
 )
+from .oracles import run_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,22 +37,19 @@ EXIT_ORACLE = 3
 EXIT_ENVIRONMENT = 4
 
 
+# value type of each config key, read off the config dataclasses
+_KEY_TYPES = {f.name: f.type for cls in (HalfspaceConfig, BanditConfig) for f in fields(cls)}
+_KEY_CHOICES = {"adversary": ADVERSARIES, "environment": ENVIRONMENTS}
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat JSON key/value config file")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--t-horizon", type=int, dest="t_horizon")
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--zeta", type=float)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--reward-cap", type=float, dest="reward_cap")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--adversary", choices=["iid", "boundary", "adaptive"])
-    parser.add_argument(
-        "--environment", choices=["massart2", "sorted_k", "monotone_k", "reduction2"]
-    )
-    parser.add_argument("--domain-radius", type=float, dest="domain_radius")
+    for key in CONFIG_KEYS:
+        flag = "--" + key.replace("_", "-")
+        if key in _KEY_CHOICES:
+            parser.add_argument(flag, choices=_KEY_CHOICES[key])
+        else:
+            parser.add_argument(flag, type=_KEY_TYPES[key])
     parser.add_argument("--seeds", type=int, default=1, help="fan out over this many seeds")
     parser.add_argument("--out", help="directory for run_<seed>.csv and report.json")
 
@@ -55,20 +58,7 @@ def _merged_mapping(args):
     mapping = {}
     if args.config:
         mapping.update(load_config_file(args.config))
-    for key in (
-        "d",
-        "t_horizon",
-        "eta",
-        "gamma",
-        "zeta",
-        "k",
-        "delta",
-        "reward_cap",
-        "seed",
-        "adversary",
-        "environment",
-        "domain_radius",
-    ):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
@@ -84,6 +74,8 @@ def _out_dir(args):
 
 
 def _run_experiment(args, runner, config):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out = _out_dir(args)
     if args.seeds > 1:
         seeds = [config.seed + i for i in range(args.seeds)]
@@ -114,7 +106,7 @@ def _cmd_simulate_bandit(args):
 
 
 def _cmd_verify(args):
-    results, ok = verify_oracles(seed=args.seed if args.seed is not None else 0, quick=args.quick)
+    results, ok = run_all(seed=args.seed if args.seed is not None else 0, quick=args.quick)
     for result in results:
         print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
     print(f"{sum(r.passed for r in results)}/{len(results)} oracle checks passed")

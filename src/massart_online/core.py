@@ -7,7 +7,9 @@ determines an experiment transcript.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,11 @@ from . import optimizer
 # epsilon is clamped this far below (1 - 2*eta)/2 so the shrunken margin
 # delta_tilde = 1 - 2*eta - epsilon stays strictly positive.
 EPSILON_CLAMP_MARGIN = 1e-6
+
+# Nonzero float config values, given or derived, must lie in this magnitude
+# range: runs and reports sum them over T rounds, square them and invert
+# them, which overflows or underflows doubles well before 1e+-308.
+FLOAT_MAGNITUDE = (1e-100, 1e100)
 
 ADVERSARIES = ("iid", "boundary", "adaptive")
 ENVIRONMENTS = ("massart2", "sorted_k", "monotone_k", "reduction2")
@@ -51,8 +58,7 @@ def spawn_streams(seed, n):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-@dataclass(frozen=True)
-class LabeledRound:
+class LabeledRound(NamedTuple):
     """One adversary round: point x in the unit ball with binary label y."""
 
     x: np.ndarray
@@ -102,6 +108,8 @@ def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
     epsilon = min(raw, cap)
     delta_tilde = 1.0 - 2.0 * eta - epsilon
     tau = epsilon ** (1.0 + zeta) * gamma / 4.0
+    if tau == 0:
+        raise ConfigError(f"tau underflows to 0 at zeta={zeta}, gamma={gamma}")
     step = optimizer.step_size(2.0 * domain_radius, 1.0 / tau, t_horizon)
     return {
         "epsilon": epsilon,
@@ -146,6 +154,22 @@ def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon, domain_radius=1
     }
 
 
+def _check_numbers(config):
+    """Every float field set so far, given or derived, is finite and 0 or
+    inside FLOAT_MAGNITUDE; the seed is nonnegative."""
+    low, high = FLOAT_MAGNITUDE
+    for f in fields(config):
+        value = getattr(config, f.name, None)
+        if not isinstance(value, float) or value == 0:
+            continue
+        if not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if not low <= abs(value) <= high:
+            raise ConfigError(f"{f.name}={value} is outside the magnitude range [{low}, {high}]")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+
+
 @dataclass(frozen=True)
 class HalfspaceConfig:
     """Full configuration of one halfspace run, derived schedule included."""
@@ -165,6 +189,7 @@ class HalfspaceConfig:
     epsilon_clamped: bool = field(init=False)
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
         if self.adversary not in ADVERSARIES:
@@ -174,6 +199,7 @@ class HalfspaceConfig:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        _check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -196,6 +222,7 @@ class BanditConfig:
     q_clamped: bool = field(init=False)
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
         if self.environment not in BANDIT_ENVIRONMENTS:
@@ -214,6 +241,7 @@ class BanditConfig:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        _check_numbers(self)
 
 
 def config_dict(config):
@@ -249,7 +277,7 @@ def halfspace_config_from(mapping):
             domain_radius=float(mapping.get("domain_radius", 1.0)),
             adversary=str(mapping.get("adversary", "iid")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -269,7 +297,7 @@ def bandit_config_from(mapping):
             domain_radius=float(mapping.get("domain_radius", 1.0)),
             environment=str(mapping.get("environment", "monotone_k")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc

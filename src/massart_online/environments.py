@@ -8,18 +8,13 @@ Generators promise, by construction: points in the unit ball with
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .core import ConfigError, Context, LabeledRound
-from .learner_bandit import reduce_classification_to_bandit
+from .core import ADVERSARIES, ConfigError, Context, LabeledRound
 from .losses import sign_of
-
-ADVERSARY_KIND_BY_NAME = {
-    "iid": "iid_uniform_margin",
-    "boundary": "boundary_hugging",
-    "adaptive": "adaptive_worst",
-}
+from .optimizer import norm
 
 
 @dataclass(frozen=True)
@@ -33,34 +28,17 @@ class HiddenTarget:
     reward_cap: float = 1.0
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.w_star))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"w_star must be a unit vector, got norm {norm}")
-
-
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    """Point-stream strategy, one of the ADVERSARY_KIND_BY_NAME values."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ADVERSARY_KIND_BY_NAME.values():
-            raise ConfigError(f"unknown adversary kind {self.kind!r}")
-
-
-def strategy_from_name(name):
-    if name not in ADVERSARY_KIND_BY_NAME:
-        raise ConfigError(f"adversary must be one of {sorted(ADVERSARY_KIND_BY_NAME)}")
-    return AdversaryStrategy(ADVERSARY_KIND_BY_NAME[name])
+        w_norm = norm(self.w_star)
+        if abs(w_norm - 1.0) > 1e-12:
+            raise ValueError(f"w_star must be a unit vector, got norm {w_norm}")
 
 
 def random_unit(rng, d):
     while True:
         v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+        v_norm = norm(v)
+        if v_norm > 1e-12:
+            return v / v_norm
 
 
 def sample_ball(rng, d):
@@ -75,12 +53,13 @@ def _iid_margin_point(target, rng):
     w_star = target.w_star
     d = w_star.shape[0]
     u = sample_ball(rng, d)
-    s = rng.uniform(target.gamma, 1.0)
+    # Generator.uniform(gamma, 1.0) without its argument handling
+    s = target.gamma + (1.0 - target.gamma) * rng.random()
     if rng.random() < 0.5:
         s = -s
-    perp = u - float(u @ w_star) * w_star
+    perp = u - float(u.dot(w_star)) * w_star
     budget = math.sqrt(max(0.0, 1.0 - s * s))
-    pnorm = float(np.linalg.norm(perp))
+    pnorm = norm(perp)
     if pnorm > budget:
         perp = perp * (budget / pnorm) if budget > 0 else np.zeros(d)
     return s * w_star + perp
@@ -92,13 +71,13 @@ def _boundary_point(target, learner_w, rng):
     w_star = target.w_star
     gamma = target.gamma
     d = w_star.shape[0]
-    lnorm = float(np.linalg.norm(learner_w)) if learner_w is not None else 0.0
+    lnorm = norm(learner_w) if learner_w is not None else 0.0
     if lnorm == 0.0:
         return _iid_margin_point(target, rng)
     wh = learner_w / lnorm
-    c = float(w_star @ wh)
+    c = float(w_star.dot(wh))
     p_vec = w_star - c * wh
-    p = float(np.linalg.norm(p_vec))
+    p = norm(p_vec)
     # below this, p_vec is cancellation noise and would poison the margin
     p_floor = 1e-5
     if p >= gamma:
@@ -109,16 +88,16 @@ def _boundary_point(target, learner_w, rng):
         base = math.copysign(a, c) * wh + (b / p) * p_vec
     else:
         base = math.copysign(gamma, c) * wh
-    budget = math.sqrt(max(0.0, 1.0 - float(base @ base)))
+    budget = math.sqrt(max(0.0, 1.0 - float(base.dot(base))))
     if budget > 1e-12 and d > 2:
         noise = rng.standard_normal(d)
-        noise -= float(noise @ wh) * wh
+        noise -= float(noise.dot(wh)) * wh
         if p > p_floor:
             e2 = p_vec / p
-            noise -= float(noise @ e2) * e2
+            noise -= float(noise.dot(e2)) * e2
         else:
-            noise -= float(noise @ w_star) * w_star
-        nnorm = float(np.linalg.norm(noise))
+            noise -= float(noise.dot(w_star)) * w_star
+        nnorm = norm(noise)
         if nnorm > 1e-12:
             base = base + noise * (rng.random() * budget / nnorm)
     if rng.random() < 0.5:
@@ -126,13 +105,16 @@ def _boundary_point(target, learner_w, rng):
     return base
 
 
-def gen_margin_example(strategy, target, learner_w, rng):
-    """One adversary point: unit ball, |w_star . x| >= gamma."""
+def gen_margin_example(adversary, target, learner_w, rng):
+    """One point of the named adversary (one of core.ADVERSARIES): unit ball,
+    |w_star . x| >= gamma."""
+    if adversary not in ADVERSARIES:
+        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
     if target.gamma > 1:
         raise ConfigError(f"margin gamma={target.gamma} is infeasible in the unit ball")
     if target.gamma <= 0:
         raise ConfigError("margin gamma must be positive")
-    if strategy.kind == "iid_uniform_margin":
+    if adversary == "iid":
         return _iid_margin_point(target, rng)
     return _boundary_point(target, learner_w, rng)
 
@@ -141,18 +123,18 @@ def massart_label(target, x, eta_t, rng):
     """Clean label sign_of(w_star . x), flipped with probability eta_t <= eta."""
     if eta_t < 0 or eta_t > target.eta:
         raise ValueError(f"per-round flip probability {eta_t} exceeds the cap {target.eta}")
-    clean = sign_of(float(target.w_star @ x))
+    clean = sign_of(float(target.w_star.dot(x)))
     flip = rng.random() < eta_t
     return -clean if flip else clean
 
 
-def adversary_round(strategy, target, learner_w, rng):
-    """Point plus label for one round; adaptive strategies see learner_w."""
-    x = gen_margin_example(strategy, target, learner_w, rng)
-    if strategy.kind == "adaptive_worst":
+def adversary_round(adversary, target, learner_w, rng):
+    """Point plus label for one round; the adaptive adversary sees learner_w."""
+    x = gen_margin_example(adversary, target, learner_w, rng)
+    if adversary == "adaptive":
         # flip only where it can cause a mistake, staying under the eta cap
-        clean = sign_of(float(target.w_star @ x))
-        pred = sign_of(float(learner_w @ x)) if learner_w is not None else 1
+        clean = sign_of(float(target.w_star.dot(x)))
+        pred = sign_of(float(learner_w.dot(x))) if learner_w is not None else 1
         eta_t = target.eta if pred == clean else 0.0
         return LabeledRound(x, massart_label(target, x, eta_t, rng))
     return LabeledRound(x, massart_label(target, x, target.eta, rng))
@@ -168,16 +150,20 @@ def gen_context(target, k, rng):
     w_star = target.w_star
     d = w_star.shape[0]
     slack = max(0.0, 2.0 / (k - 1) - gamma)
-    gaps = gamma + rng.uniform(0.0, slack / 2.0, size=k - 1)
-    span = float(gaps.sum())
-    lo = rng.uniform(-1.0, 1.0 - span)
-    scores = lo + np.concatenate(([0.0], np.cumsum(gaps)))
+    # uniform draws as low + (high - low) * random(), the form Generator.uniform
+    # computes; the per-arm arithmetic runs on floats, in the same order
+    gaps = gamma + slack / 2.0 * rng.random(k - 1)
+    lo = -1.0 + ((1.0 - float(gaps.sum())) + 1.0) * rng.random()
+    scores = [lo + offset for offset in accumulate(gaps.tolist(), initial=0.0)]
     noise = rng.standard_normal((d, k))
-    noise -= np.outer(w_star, w_star @ noise)
-    norms = np.linalg.norm(noise, axis=0)
-    norms[norms < 1e-12] = 1.0
-    scale = rng.random(k) * np.sqrt(np.maximum(0.0, 1.0 - scores**2)) / norms
-    columns = np.outer(w_star, scores) + noise * scale
+    w_col = w_star[:, None]
+    noise -= w_col * (w_star @ noise)
+    norms = [math.sqrt(sq) for sq in (noise * noise).sum(axis=0).tolist()]
+    scale = [
+        r * math.sqrt(max(0.0, 1.0 - s * s)) / (1.0 if n < 1e-12 else n)
+        for r, s, n in zip(rng.random(k).tolist(), scores, norms)
+    ]
+    columns = w_col * np.array(scores) + noise * np.array(scale)
     return Context(columns[:, rng.permutation(k)])
 
 
@@ -246,6 +232,13 @@ class MonotoneRewardEnvironment:
         return context, sample_monotone_rewards(self.target, context, self.noise_scale, rng)
 
 
+def reduce_classification_to_bandit(x, y):
+    """2-arm view of a labeled point: context (x, -x), rewards ((1+y)/2, (1-y)/2)."""
+    x = np.asarray(x, dtype=float)
+    context = Context(np.array((x, -x)).T.copy())
+    return context, np.array([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
+
+
 class ReductionEnvironment:
     """2-arm view of the noisy halfspace stream.
 
@@ -263,10 +256,9 @@ class ReductionEnvironment:
             delta=target.delta,
             reward_cap=target.reward_cap,
         )
-        self.strategy = AdversaryStrategy("iid_uniform_margin")
 
     def next_round(self, rng):
-        x = gen_margin_example(self.strategy, self.point_target, None, rng)
+        x = gen_margin_example("iid", self.point_target, None, rng)
         y = massart_label(self.point_target, x, self.eta, rng)
         return reduce_classification_to_bandit(x, y)
 

@@ -7,8 +7,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -16,7 +14,8 @@ from . import environments
 from .core import config_dict, spawn_streams
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
-from .oracles import run_all
+from .losses import sign_of
+from .optimizer import norm
 
 CSV_HEADER = "round,action,observed,score,loss,explored,cum_metric,w_norm"
 
@@ -27,20 +26,6 @@ class EnvironmentViolation(RuntimeError):
     """The environment broke one of its own promises (ball, margin, range)."""
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One CSV row: prediction/arm, observation, loss, cumulative metric."""
-
-    round: int
-    action: int
-    observed: float
-    score: float
-    loss: float
-    explored: bool
-    cum_metric: float
-    w_norm: float
-
-
 def _fmt(value):
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -49,31 +34,15 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _record_line(record):
-    return ",".join(
-        _fmt(v)
-        for v in (
-            record.round,
-            record.action,
-            record.observed,
-            record.score,
-            record.loss,
-            record.explored,
-            record.cum_metric,
-            record.w_norm,
-        )
-    )
-
-
 class _CsvSink:
     def __init__(self, path):
         self.fh = open(path, "w", newline="") if path else None
         if self.fh:
             self.fh.write(CSV_HEADER + "\n")
 
-    def write(self, record):
-        if self.fh:
-            self.fh.write(_record_line(record) + "\n")
+    def write(self, *row):
+        """One CSV row in CSV_HEADER order; call it only when fh is open."""
+        self.fh.write(",".join(map(_fmt, row)) + "\n")
 
     def close(self):
         if self.fh:
@@ -90,7 +59,7 @@ class _Perceptron:
         self.mistakes = 0
 
     def observe(self, x, y):
-        pred = 1 if float(self.w @ x) >= 0 else -1
+        pred = 1 if float(self.w.dot(x)) >= 0 else -1
         if pred != y:
             self.mistakes += 1
             self.w = self.w + y * x
@@ -107,30 +76,30 @@ def perceptron_baseline(stream):
 
 
 def _audit_point(x, w_star, gamma):
-    if float(np.linalg.norm(x)) > 1.0 + AUDIT_TOL:
-        raise EnvironmentViolation(f"point norm {np.linalg.norm(x)} exceeds the unit ball")
-    if abs(float(w_star @ x)) < gamma - AUDIT_TOL:
-        raise EnvironmentViolation(
-            f"margin {abs(float(w_star @ x))} below the promised {gamma}"
-        )
+    x_norm = norm(x)
+    if x_norm > 1.0 + AUDIT_TOL:
+        raise EnvironmentViolation(f"point norm {x_norm} exceeds the unit ball")
+    margin = abs(float(w_star.dot(x)))
+    if margin < gamma - AUDIT_TOL:
+        raise EnvironmentViolation(f"margin {margin} below the promised {gamma}")
 
 
 def _audit_context(context, rewards, w_star, gamma, reward_cap):
     cols = context.columns
-    worst_sq = float((cols * cols).sum(axis=0).max())
+    worst_sq = max((cols * cols).sum(axis=0).tolist())
     if worst_sq > (1.0 + AUDIT_TOL) ** 2:
         raise EnvironmentViolation(f"context column norm {worst_sq**0.5} exceeds the unit ball")
-    scores = np.sort(w_star @ cols)
-    min_gap = float(np.min(scores[1:] - scores[:-1]))
+    scores = sorted((w_star @ cols).tolist())
+    min_gap = min(hi - lo for lo, hi in zip(scores, scores[1:]))
     if min_gap < gamma - AUDIT_TOL:
         raise EnvironmentViolation(f"context score gap {min_gap} below the promised {gamma}")
-    if float(rewards.min()) < -AUDIT_TOL or float(rewards.max()) > reward_cap + AUDIT_TOL:
-        raise EnvironmentViolation(
-            f"rewards outside [0, {reward_cap}]: [{rewards.min()}, {rewards.max()}]"
-        )
+    values = rewards.tolist()
+    low, high = min(values), max(values)
+    if low < -AUDIT_TOL or high > reward_cap + AUDIT_TOL:
+        raise EnvironmentViolation(f"rewards outside [0, {reward_cap}]: [{low}, {high}]")
 
 
-def run_halfspace_experiment(config, csv_path=None, collect_records=False):
+def run_halfspace_experiment(config, csv_path=None):
     """Drive the halfspace learner for T rounds; returns the run report.
 
     Baselines (coin-flip predictions and the perceptron) consume the exact
@@ -143,45 +112,34 @@ def run_halfspace_experiment(config, csv_path=None, collect_records=False):
         eta=config.eta,
         gamma=config.gamma,
     )
-    strategy = environments.strategy_from_name(config.adversary)
     learner = HalfspaceLearner(config)
     perceptron = _Perceptron(config.d)
     random_mistakes = 0
-    records = [] if collect_records else None
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
-            round_ = environments.adversary_round(strategy, target, learner.w, rng_env)
+            round_ = environments.adversary_round(config.adversary, target, learner.w, rng_env)
             x, y = round_.x, round_.y
             _audit_point(x, target.w_star, config.gamma)
             if y not in (-1, 1):
                 raise EnvironmentViolation(f"label {y} outside {{-1, +1}}")
-            pred = learner.predict(x)
-            score = float(learner.w @ x)
+            score = float(learner.w.dot(x))
             evaluated = learner.observe(x, y)
             guess = 1 if rng_base.random() < 0.5 else -1
             if guess != y:
                 random_mistakes += 1
             perceptron.observe(x, y)
-            record = RoundRecord(
-                round=t,
-                action=pred,
-                observed=y,
-                score=score,
-                loss=evaluated.value,
-                explored=False,
-                cum_metric=learner.mistakes,
-                w_norm=float(np.linalg.norm(learner.w)),
-            )
-            sink.write(record)
-            if records is not None:
-                records.append(record)
+            if sink.fh:
+                sink.write(
+                    t, sign_of(score), y, score, evaluated.value, False, learner.mistakes,
+                    norm(learner.w),
+                )
     finally:
         sink.close()
     t_total = config.t_horizon
     mistakes = learner.mistakes
     excess_term = t_total**0.75 / config.gamma
-    report = {
+    return {
         "kind": "halfspace",
         "config": config_dict(config),
         "total_mistakes": mistakes,
@@ -197,17 +155,11 @@ def run_halfspace_experiment(config, csv_path=None, collect_records=False):
             "normalized_excess": (mistakes - config.eta * t_total) * config.gamma / t_total**0.75,
         },
         "clamp_flags": {"epsilon_clamped": config.epsilon_clamped},
-        "margin_violations": 0,
         "wall_time_s": time.perf_counter() - t_start,
     }
-    if records is not None:
-        report["records"] = records
-    return report
 
 
-def run_bandit_experiment(
-    config, csv_path=None, collect_records=False, env_delta=None, env_noise_scale=None
-):
+def run_bandit_experiment(config, csv_path=None, env_delta=None, env_noise_scale=None):
     """Drive the k-arm learner for T rounds; returns the run report.
 
     The environment's full reward vectors stay private to this driver; they
@@ -231,34 +183,27 @@ def run_bandit_experiment(
     uniform_sum = 0.0
     greedy_sum = 0.0
     random_play = 0.0
-    records = [] if collect_records else None
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
             context, rewards = env.next_round(rng_env)
             _audit_context(context, rewards, target.w_star, config.gamma, config.reward_cap)
             feedback = learner.play_round(context, lambda arm: rewards[arm])
-            uniform_sum += float(rewards.mean())
+            # the sum over the count is the float rewards.mean() returns
+            uniform_sum += float(rewards.sum()) / rewards.size
             greedy_sum += float(rewards[feedback.greedy_arm])
             random_play += float(rewards[rng_base.integers(config.k)])
-            record = RoundRecord(
-                round=t,
-                action=feedback.played_arm,
-                observed=feedback.observed_reward,
-                score=feedback.score,
-                loss=feedback.loss_value,
-                explored=feedback.explored,
-                cum_metric=learner.cumulative_reward,
-                w_norm=float(np.linalg.norm(learner.w)),
-            )
-            sink.write(record)
-            if records is not None:
-                records.append(record)
+            if sink.fh:
+                sink.write(
+                    t, feedback.played_arm, feedback.observed_reward, feedback.score,
+                    feedback.loss_value, feedback.explored, learner.cumulative_reward,
+                    norm(learner.w),
+                )
     finally:
         sink.close()
     t_total = config.t_horizon
     gain_term = (1.0 - 1.0 / config.k) * config.delta * t_total
-    report = {
+    return {
         "kind": "bandit",
         "config": config_dict(config),
         "total_reward": learner.cumulative_reward,
@@ -278,12 +223,8 @@ def run_bandit_experiment(
             "greedy_gap_vs_uniform": greedy_sum - uniform_sum,
         },
         "clamp_flags": {"q_clamped": config.q_clamped},
-        "margin_violations": 0,
         "wall_time_s": time.perf_counter() - t_start,
     }
-    if records is not None:
-        report["records"] = records
-    return report
 
 
 def run_many(runner, config, seeds, out_dir=None):
@@ -318,17 +259,12 @@ def _strip_wall_time(obj):
 
 
 def report_json(report, drop_wall_time=False):
-    payload = {k: v for k, v in report.items() if k != "records"}
+    """Canonical report JSON; a non-finite number raises ValueError."""
     if drop_wall_time:
-        payload = _strip_wall_time(payload)
-    return json.dumps(payload, indent=2, sort_keys=True)
+        report = _strip_wall_time(report)
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_report(report, path):
     with open(path, "w") as fh:
         fh.write(report_json(report) + "\n")
-
-
-def verify_oracles(seed=0, quick=False):
-    """Run the oracle suite; returns (results, all_passed)."""
-    return run_all(seed=seed, quick=quick)

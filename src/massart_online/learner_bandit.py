@@ -2,14 +2,12 @@
 rewards on exploration rounds, and a projected gradient step on the scaled
 arm-gap loss."""
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Context
 from .losses import ArmGapParams, arm_gap_loss
-from .optimizer import OgdState, ogd_update
+from .optimizer import ogd_update
 
 
 def select_action(w, context, rng):
@@ -17,9 +15,9 @@ def select_action(w, context, rng):
     X = context.columns
     if X.shape[1] == 0:
         raise ValueError("empty context")
-    if not np.any(w):
+    if not w.any():
         return int(rng.integers(X.shape[1]))
-    return int(np.argmax(w @ X))
+    return int((w @ X).argmax())
 
 
 def fake_rewards(k, reward_cap, beta, r_beta):
@@ -36,15 +34,7 @@ def fake_rewards(k, reward_cap, beta, r_beta):
     return fake
 
 
-def reduce_classification_to_bandit(x, y):
-    """2-arm view of a labeled point: context (x, -x), rewards ((1+y)/2, (1-y)/2)."""
-    x = np.asarray(x, dtype=float)
-    context = Context(np.column_stack((x, -x)))
-    return context, np.array([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
-
-
-@dataclass(frozen=True)
-class BanditFeedback:
+class BanditFeedback(NamedTuple):
     """What one round produced, for logging and reward accounting."""
 
     observed_reward: float
@@ -61,21 +51,13 @@ class BanditLearner:
     the uniform fallback when the iterate is exactly zero."""
 
     def __init__(self, config, rng):
-        w0 = np.zeros(config.d)
-        w0[0] = 1.0
         self.config = config
         self.rng = rng
-        self.ogd = OgdState(w=w0, step=config.step_size, radius=config.domain_radius)
+        self.w = np.zeros(config.d)
+        self.w[0] = 1.0
+        self.round = 0
         self.cumulative_reward = 0.0
         self.exploration_count = 0
-
-    @property
-    def w(self):
-        return self.ogd.w
-
-    @property
-    def round(self):
-        return self.ogd.round
 
     def play_round(self, context, reward_oracle):
         """One full round; reward_oracle(arm) is called exactly once.
@@ -86,11 +68,11 @@ class BanditLearner:
         and step on the zero loss.
         """
         config = self.config
-        if self.ogd.round >= config.t_horizon:
+        if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
-        w = self.ogd.w
+        w = self.w
         alpha = select_action(w, context, self.rng)
-        score = float(np.dot(w, context.columns[:, alpha]))
+        score = float(w.dot(context.columns[:, alpha]))
         explored = self.rng.random() < config.q
         if explored:
             beta = int(self.rng.integers(context.k))
@@ -115,7 +97,8 @@ class BanditLearner:
             loss_value = 0.0
             subgrad = np.zeros(config.d)
             played, explore_arm = alpha, None
-        self.ogd = ogd_update(self.ogd, subgrad, loss_value)
+        self.w = ogd_update(w, subgrad, config.step_size, config.domain_radius)
+        self.round += 1
         self.cumulative_reward += observed
         return BanditFeedback(
             observed_reward=observed,

@@ -4,41 +4,35 @@ step on the margin-reweighted surrogate loss, every round, mistake or not."""
 import numpy as np
 
 from .losses import reweighted_margin_loss, sign_of
-from .optimizer import OgdState, ogd_update
+from .optimizer import ogd_update
 
 
 class HalfspaceLearner:
     """Single-run learner state; one instance per experiment run."""
 
     def __init__(self, config):
-        w0 = np.zeros(config.d)
-        w0[0] = 1.0
         self.config = config
-        self.ogd = OgdState(w=w0, step=config.step_size, radius=config.domain_radius)
+        self.w = np.zeros(config.d)
+        self.w[0] = 1.0
+        self.round = 0
         self.mistakes = 0
-
-    @property
-    def w(self):
-        return self.ogd.w
-
-    @property
-    def round(self):
-        return self.ogd.round
 
     def predict(self, x):
         """Label sign_of(w . x); deterministic, so callers may recompute freely."""
-        return sign_of(float(np.dot(self.ogd.w, x)))
+        return sign_of(float(self.w.dot(x)))
 
     def observe(self, x, y):
         """Counts the mistake, then updates on the reweighted loss at the
         current iterate (which also serves as the loss's reference vector).
         Returns the round's LossEval for logging."""
-        if self.ogd.round >= self.config.t_horizon:
-            raise RuntimeError(f"horizon {self.config.t_horizon} already exhausted")
+        config = self.config
+        if self.round >= config.t_horizon:
+            raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
         if self.predict(x) != y:
             self.mistakes += 1
         evaluated = reweighted_margin_loss(
-            self.ogd.w, x, y, self.ogd.w, self.config.tau, self.config.delta_tilde
+            self.w, x, y, self.w, config.tau, config.delta_tilde
         )
-        self.ogd = ogd_update(self.ogd, evaluated.subgrad, evaluated.value)
+        self.w = ogd_update(self.w, evaluated.subgrad, config.step_size, config.domain_radius)
+        self.round += 1
         return evaluated

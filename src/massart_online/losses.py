@@ -12,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Context
+from .optimizer import norm
 
 
 class LossEval(NamedTuple):
@@ -97,10 +98,11 @@ class ArmGapParams:
 def arm_gap_loss(w, params):
     """Convex loss over arm-score gaps around the chosen arm alpha.
 
-    With reward gaps y_j = r[alpha] - r[j]: if the reference vector v is
-    exactly zero the loss is the linear form -lambda_cap * sum_{j != alpha}
-    (w . (x_alpha - x_j)) * y_j. Otherwise each difference is pushed distance
-    rho away from v's decision boundary,
+    With reward gaps y_j = r[alpha] - r[j]: if the reference vector v has
+    norm 0 (v is zero, or so small that its norm underflows) the loss is the
+    linear form -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j.
+    Otherwise each difference is pushed distance rho away from v's decision
+    boundary,
 
         z_j = (x_alpha - x_j) + rho * sign((x_alpha - x_j) . v) * v/||v||,
 
@@ -108,21 +110,23 @@ def arm_gap_loss(w, params):
     divided by |v.z_j|; the construction makes |v.z_j| >= rho*||v|| > 0.
     """
     X = params.context.columns
-    k = X.shape[1]
     a = params.alpha
-    y = params.rewards[a] - params.rewards
-    diffs = X[:, [a]] - X
-    mask = np.arange(k) != a
+    others = [j for j in range(X.shape[1]) if j != a]
+    diffs = X[:, a : a + 1] - X
     v = params.v
-    if not np.any(v):
-        grad = -params.lambda_cap * (diffs[:, mask] @ y[mask])
+    vnorm = norm(v)
+    if vnorm == 0:
+        y = params.rewards[a] - params.rewards[others]
+        grad = -params.lambda_cap * (diffs[:, others] @ y)
         return LossEval(float(np.dot(w, grad)), grad)
-    vnorm = float(np.linalg.norm(v))
-    sv = diffs.T @ v
-    sgn = np.where(sv >= 0, 1.0, -1.0)
-    Z = diffs + (params.rho / vnorm) * np.outer(v, sgn)
-    den = np.abs(Z.T @ v)
-    t = Z.T @ w
-    vals = 0.5 * (params.delta * np.abs(t) - y * t) / den
-    coef = 0.5 * (params.delta * np.sign(t) - y) / den
-    return LossEval(float(vals[mask].sum()), Z[:, mask] @ coef[mask])
+    sgn = (diffs.T @ v >= 0) * 2.0 - 1.0
+    Z = diffs + (params.rho / vnorm) * (v[:, None] * sgn)
+    # per-arm terms on floats, in the order of the array form (np.sign included)
+    den, t, r = (Z.T @ v).tolist(), (Z.T @ w).tolist(), params.rewards.tolist()
+    vals, coef = [], []
+    for j in others:
+        tj, yj, dj = t[j], r[a] - r[j], abs(den[j])
+        sign = 1.0 if tj > 0 else -1.0 if tj < 0 else 0.0 if tj == 0 else tj
+        vals.append(0.5 * (params.delta * abs(tj) - yj * tj) / dj)
+        coef.append(0.5 * (params.delta * sign - yj) / dj)
+    return LossEval(float(np.array(vals).sum()), Z[:, others] @ np.array(coef))

@@ -1,20 +1,8 @@
 """Projected online gradient descent over a Euclidean ball with a fixed step size."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class OgdState:
-    """Iterate plus bookkeeping for one online gradient descent run."""
-
-    w: np.ndarray
-    step: float
-    radius: float = 1.0
-    round: int = 0
-    cumulative_loss: float = 0.0
 
 
 def step_size(diameter, grad_bound, t_horizon):
@@ -28,31 +16,27 @@ def step_size(diameter, grad_bound, t_horizon):
     return diameter / (grad_bound * math.sqrt(t_horizon))
 
 
+def norm(v):
+    """The float np.linalg.norm(v) returns, without its costly dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def project_ball(w, radius):
     """Euclidean projection onto the centered ball of the given radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    norm = float(np.linalg.norm(w))
-    if norm <= radius:
+    w_norm = norm(w)
+    if w_norm <= radius:
         return w
-    return w * (radius / norm)
+    return w * (radius / w_norm)
 
 
-def ogd_update(state, subgrad, loss_value=0.0):
-    """One projected gradient step; returns the successor state.
-
-    loss_value is only accumulated for reporting, it does not affect the step.
-    """
+def ogd_update(w, subgrad, step, radius=1.0):
+    """One projected gradient step from w; returns the new iterate."""
     subgrad = np.asarray(subgrad)
-    if subgrad.shape != state.w.shape:
+    if subgrad.shape != w.shape:
         raise ValueError(
-            f"subgradient shape {subgrad.shape} does not match iterate shape {state.w.shape}"
+            f"subgradient shape {subgrad.shape} does not match iterate shape {w.shape}"
         )
-    w_next = project_ball(state.w - state.step * subgrad, state.radius)
-    return OgdState(
-        w=w_next,
-        step=state.step,
-        radius=state.radius,
-        round=state.round + 1,
-        cumulative_loss=state.cumulative_loss + loss_value,
-    )
+    return project_ball(w - step * subgrad, radius)

@@ -22,7 +22,7 @@ from .losses import (
     reweighted_margin_loss,
     sign_of,
 )
-from .optimizer import OgdState, ogd_update, step_size
+from .optimizer import ogd_update, step_size
 
 
 @dataclass(frozen=True)
@@ -274,12 +274,11 @@ def check_ogd_feasibility(seed=8, n_runs=50, t_steps=200):
     for _ in range(n_runs):
         d = int(rng.integers(1, 9))
         radius = rng.uniform(0.2, 3.0)
-        state = OgdState(
-            w=random_unit(rng, d) * radius, step=rng.uniform(0.001, 1.0), radius=radius
-        )
+        w = random_unit(rng, d) * radius
+        step = rng.uniform(0.001, 1.0)
         for _ in range(t_steps):
-            state = ogd_update(state, rng.standard_normal(d) * rng.uniform(0.0, 5.0))
-            worst = max(worst, float(np.linalg.norm(state.w)) - radius)
+            w = ogd_update(w, rng.standard_normal(d) * rng.uniform(0.0, 5.0), step, radius)
+            worst = max(worst, float(np.linalg.norm(w)) - radius)
     return _result(
         "ogd_feasibility", worst <= 1e-12, f"max radius excess {worst:.3e}"
     )
@@ -294,16 +293,15 @@ def ogd_regret_curve(horizons=(1_000, 10_000, 100_000), d=3):
     regrets = []
     for t_horizon in horizons:
         step = step_size(2.0, 1.0, t_horizon)
-        w0 = np.zeros(d)
-        w0[0] = 1.0
-        state = OgdState(w=w0, step=step, radius=1.0)
+        w = np.zeros(d)
+        w[0] = 1.0
         total = 0.0
         grad = np.zeros(d)
         for _ in range(t_horizon):
-            t = state.w[0] - 0.5
+            t = w[0] - 0.5
             total += abs(t)
             grad[0] = 0.0 if t == 0 else math.copysign(1.0, t)
-            state = ogd_update(state, grad)
+            w = ogd_update(w, grad, step)
         regrets.append(total)
     return list(horizons), regrets
 

@@ -1,0 +1,65 @@
+"""Property test of the config boundary: any flat mapping of config values
+either raises ConfigError or runs to a finite, strict-JSON report."""
+
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from massart_online.core import (
+    ADVERSARIES,
+    CONFIG_KEYS,
+    ENVIRONMENTS,
+    ConfigError,
+    bandit_config_from,
+    halfspace_config_from,
+)
+from massart_online.harness import report_json, run_bandit_experiment, run_halfspace_experiment
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+# d, k and t_horizon are capped so that no draw allocates a huge array or
+# runs more than 50 rounds; every float key may be any double at all
+VALUES = {
+    "d": st.one_of(st.integers(-2, 64), NON_FINITE),
+    "t_horizon": st.one_of(st.integers(-2, 50), NON_FINITE),
+    "k": st.one_of(st.integers(-1, 64), NON_FINITE),
+    "seed": st.one_of(st.integers(-3, 2**70), NON_FINITE),
+    "eta": ANY_FLOAT,
+    "gamma": ANY_FLOAT,
+    "zeta": ANY_FLOAT,
+    "delta": ANY_FLOAT,
+    "reward_cap": ANY_FLOAT,
+    "domain_radius": ANY_FLOAT,
+    "adversary": st.sampled_from(ADVERSARIES + ("bogus",)),
+    "environment": st.sampled_from(ENVIRONMENTS + ("bogus",)),
+}
+assert set(VALUES) == set(CONFIG_KEYS)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in the report")
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(bandit=st.booleans(), mapping=st.fixed_dictionaries({}, optional=VALUES))
+def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
+    mapping.setdefault("t_horizon", 50)
+    if bandit:
+        build, run = bandit_config_from, run_bandit_experiment
+    else:
+        build, run = halfspace_config_from, run_halfspace_experiment
+    try:
+        report = run(build(mapping))
+    except ConfigError:
+        return
+    text = report_json(report)
+    json.loads(text, parse_constant=_reject_constant)

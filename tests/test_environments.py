@@ -5,7 +5,6 @@ import pytest
 
 from massart_online.core import ConfigError, seeded_rng
 from massart_online.environments import (
-    AdversaryStrategy,
     HiddenTarget,
     MonotoneRewardEnvironment,
     ReductionEnvironment,
@@ -18,7 +17,6 @@ from massart_online.environments import (
     random_unit,
     sample_monotone_rewards,
     sample_sorted_rewards,
-    strategy_from_name,
 )
 from massart_online.losses import sign_of
 
@@ -33,22 +31,20 @@ def test_hidden_target_requires_unit_vector():
         HiddenTarget(w_star=np.array([0.5, 0.0]))
 
 
-def test_strategy_names():
-    assert strategy_from_name("iid").kind == "iid_uniform_margin"
-    assert strategy_from_name("boundary").kind == "boundary_hugging"
-    assert strategy_from_name("adaptive").kind == "adaptive_worst"
-    with pytest.raises(ConfigError):
-        strategy_from_name("bogus")
-    with pytest.raises(ConfigError):
-        AdversaryStrategy("bogus")
+def test_unknown_adversary_raises_config_error():
+    target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
+    for name in ("bogus", "iid_uniform_margin", ""):
+        with pytest.raises(ConfigError):
+            gen_margin_example(name, target, None, seeded_rng(0))
+        with pytest.raises(ConfigError):
+            adversary_round(name, target, np.array([0.0, 1.0]), seeded_rng(0))
 
 
 def test_iid_points_respect_ball_and_margin():
     rng = seeded_rng(1)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
-    strat = strategy_from_name("iid")
     for _ in range(500):
-        x = gen_margin_example(strat, target, None, rng)
+        x = gen_margin_example("iid", target, None, rng)
         assert np.linalg.norm(x) <= 1.0 + 1e-12
         assert abs(x[0]) >= 0.5 - 1e-12
 
@@ -57,10 +53,9 @@ def test_boundary_point_with_orthogonal_learner():
     # learner orthogonal to the target: both constraints can be met exactly
     rng = seeded_rng(2)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
-    strat = strategy_from_name("boundary")
     learner_w = np.array([0.0, 1.0])
     for _ in range(200):
-        x = gen_margin_example(strat, target, learner_w, rng)
+        x = gen_margin_example("boundary", target, learner_w, rng)
         assert abs(x[0]) >= 0.5 - 1e-12
         assert abs(float(learner_w @ x)) <= 1e-12
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -71,10 +66,9 @@ def test_boundary_point_with_aligned_learner():
     # construction must still deliver the promised target margin
     rng = seeded_rng(3)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
-    strat = strategy_from_name("boundary")
     learner_w = np.array([1.0, 0.0])
     for _ in range(200):
-        x = gen_margin_example(strat, target, learner_w, rng)
+        x = gen_margin_example("boundary", target, learner_w, rng)
         assert abs(x[0]) >= 0.5 - 1e-12
         assert np.linalg.norm(x) <= 1.0 + 1e-12
 
@@ -83,10 +77,9 @@ def test_boundary_hugging_minimizes_learner_margin_in_high_dim():
     rng = seeded_rng(4)
     d = 8
     target = _target(d=d, rng=rng, gamma=0.3)
-    strat = strategy_from_name("boundary")
     learner_w = random_unit(rng, d) * 0.7
     for _ in range(200):
-        x = gen_margin_example(strat, target, learner_w, rng)
+        x = gen_margin_example("boundary", target, learner_w, rng)
         assert abs(float(target.w_star @ x)) >= 0.3 - 1e-12
         assert abs(float(learner_w @ x)) <= 1e-10
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -95,9 +88,8 @@ def test_boundary_hugging_minimizes_learner_margin_in_high_dim():
 def test_extreme_margin_only_target_points():
     rng = seeded_rng(5)
     target = HiddenTarget(w_star=np.array([0.0, 1.0]), gamma=1.0)
-    strat = strategy_from_name("iid")
     for _ in range(50):
-        x = gen_margin_example(strat, target, None, rng)
+        x = gen_margin_example("iid", target, None, rng)
         assert abs(abs(float(target.w_star @ x)) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
@@ -105,7 +97,7 @@ def test_extreme_margin_only_target_points():
 def test_infeasible_margin_rejected():
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=1.5)
     with pytest.raises(ConfigError):
-        gen_margin_example(strategy_from_name("iid"), target, None, seeded_rng(0))
+        gen_margin_example("iid", target, None, seeded_rng(0))
 
 
 def test_massart_label_noiseless():
@@ -137,12 +129,11 @@ def test_disagreement_rate_capped_for_all_strategies(name):
     rng = seeded_rng(8)
     d = 4
     target = _target(d=d, rng=rng, eta=0.15, gamma=0.2)
-    strat = strategy_from_name(name)
     learner_w = random_unit(rng, d)
     n = 20_000
     disagree = 0
     for _ in range(n):
-        round_ = adversary_round(strat, target, learner_w, rng)
+        round_ = adversary_round(name, target, learner_w, rng)
         disagree += round_.y != sign_of(float(target.w_star @ round_.x))
     sigma = math.sqrt(0.15 * 0.85 / n)
     assert disagree / n <= 0.15 + 3 * sigma
@@ -152,10 +143,9 @@ def test_adaptive_adversary_never_flips_when_already_wrong():
     rng = seeded_rng(9)
     d = 3
     target = _target(d=d, rng=rng, eta=0.5 - 1e-3, gamma=0.2)
-    strat = strategy_from_name("adaptive")
     learner_w = random_unit(rng, d)
     for _ in range(2000):
-        round_ = adversary_round(strat, target, learner_w, rng)
+        round_ = adversary_round("adaptive", target, learner_w, rng)
         pred = sign_of(float(learner_w @ round_.x))
         clean = sign_of(float(target.w_star @ round_.x))
         if pred != clean:
@@ -170,6 +160,32 @@ def test_gen_context_gaps_and_ball():
         scores = np.sort(target.w_star @ ctx.columns)
         assert np.min(np.diff(scores)) >= 0.2 - 1e-12
         assert np.max(np.linalg.norm(ctx.columns, axis=0)) <= 1.0 + 1e-12
+
+
+def _gen_context_array_form(target, k, rng):
+    # the whole-array arithmetic gen_context used before its per-arm terms
+    # moved to floats; both must produce the same bytes from the same draws
+    w_star, gamma = target.w_star, target.gamma
+    slack = max(0.0, 2.0 / (k - 1) - gamma)
+    gaps = gamma + rng.uniform(0.0, slack / 2.0, size=k - 1)
+    lo = rng.uniform(-1.0, 1.0 - float(gaps.sum()))
+    scores = lo + np.concatenate(([0.0], np.cumsum(gaps)))
+    noise = rng.standard_normal((w_star.shape[0], k))
+    noise -= np.outer(w_star, w_star @ noise)
+    norms = np.linalg.norm(noise, axis=0)
+    norms[norms < 1e-12] = 1.0
+    scale = rng.random(k) * np.sqrt(np.maximum(0.0, 1.0 - scores**2)) / norms
+    columns = np.outer(w_star, scores) + noise * scale
+    return columns[:, rng.permutation(k)]
+
+
+@pytest.mark.parametrize("d,k,gamma", [(10, 3, 0.2), (10, 2, 1.0), (4, 5, 0.3), (7, 10, 0.05)])
+def test_gen_context_matches_array_form_bytes(d, k, gamma):
+    target = _target(d=d, rng=seeded_rng(30), gamma=gamma)
+    rng_a, rng_b = seeded_rng(31), seeded_rng(31)
+    for _ in range(200):
+        got = gen_context(target, k, rng_a).columns
+        assert got.tobytes() == _gen_context_array_form(target, k, rng_b).tobytes()
 
 
 def test_gen_context_three_arms_wide_margin():

@@ -20,10 +20,9 @@ from massart_online.harness import (
     run_bandit_experiment,
     run_halfspace_experiment,
     run_many,
-    verify_oracles,
 )
 from massart_online.learner_bandit import fake_rewards
-from massart_online.oracles import check_debiasing
+from massart_online.oracles import check_debiasing, run_all
 
 
 def _halfspace_config(**overrides):
@@ -72,13 +71,19 @@ def test_csv_schema_and_row_count(tmp_path):
     assert lines[-1].split(",")[0] == "50"
 
 
-def test_round_records_contiguous_and_consistent():
+def _csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_round_records_contiguous_and_consistent(tmp_path):
     cfg = _halfspace_config(t_horizon=60)
-    report = run_halfspace_experiment(cfg, collect_records=True)
-    records = report["records"]
-    assert [r.round for r in records] == list(range(1, 61))
-    assert records[-1].cum_metric == report["total_mistakes"]
-    mistakes = sum(r.action != r.observed for r in records)
+    path = tmp_path / "run.csv"
+    report = run_halfspace_experiment(cfg, csv_path=str(path))
+    rows = _csv_rows(path)
+    assert [int(r["round"]) for r in rows] == list(range(1, 61))
+    assert int(rows[-1]["cum_metric"]) == report["total_mistakes"]
+    mistakes = sum(r["action"] != r["observed"] for r in rows)
     assert mistakes == report["total_mistakes"]
 
 
@@ -94,12 +99,13 @@ def test_halfspace_report_fields_and_bounds():
     assert bc["normalized_excess"] == pytest.approx(expected)
 
 
-def test_bandit_report_accounting():
+def test_bandit_report_accounting(tmp_path):
     cfg = _bandit_config(t_horizon=300)
-    report = run_bandit_experiment(cfg, collect_records=True)
-    records = report["records"]
-    assert report["total_reward"] == pytest.approx(sum(r.observed for r in records))
-    assert report["exploration_count"] == sum(r.explored for r in records)
+    path = tmp_path / "run.csv"
+    report = run_bandit_experiment(cfg, csv_path=str(path))
+    rows = _csv_rows(path)
+    assert report["total_reward"] == pytest.approx(sum(float(r["observed"]) for r in rows))
+    assert report["exploration_count"] == sum(r["explored"] == "1" for r in rows)
     assert report["greedy_reward"] <= cfg.reward_cap * cfg.t_horizon
     bc = report["bound_check"]
     assert bc["played_gap_vs_uniform"] == pytest.approx(
@@ -128,7 +134,7 @@ def test_wall_time_excluded_from_digest():
 def test_environment_audit_catches_ball_violation(monkeypatch):
     cfg = _halfspace_config()
 
-    def bad_round(strategy, target, learner_w, rng):
+    def bad_round(adversary, target, learner_w, rng):
         return LabeledRound(x=target.w_star * 1.5, y=1)
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
@@ -139,7 +145,7 @@ def test_environment_audit_catches_ball_violation(monkeypatch):
 def test_environment_audit_catches_margin_violation(monkeypatch):
     cfg = _halfspace_config(gamma=0.5)
 
-    def bad_round(strategy, target, learner_w, rng):
+    def bad_round(adversary, target, learner_w, rng):
         x = target.w_star * 0.1  # margin far below the promise
         return LabeledRound(x=x, y=1)
 
@@ -180,10 +186,9 @@ def test_perceptron_noiseless_margin_mistake_bound():
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng, 5), eta=0.0, gamma=gamma
     )
-    strat = environments.strategy_from_name("iid")
     stream = []
     for _ in range(5000):
-        x = environments.gen_margin_example(strat, target, None, rng)
+        x = environments.gen_margin_example("iid", target, None, rng)
         stream.append(LabeledRound(x, environments.massart_label(target, x, 0.0, rng)))
     assert perceptron_baseline(stream) <= 1.0 / gamma**2
 
@@ -200,11 +205,10 @@ def test_inline_perceptron_matches_standalone():
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng_env, cfg.d), eta=cfg.eta, gamma=cfg.gamma
     )
-    strat = environments.strategy_from_name(cfg.adversary)
     learner = HalfspaceLearner(cfg)
     stream = []
     for _ in range(cfg.t_horizon):
-        round_ = environments.adversary_round(strat, target, learner.w, rng_env)
+        round_ = environments.adversary_round(cfg.adversary, target, learner.w, rng_env)
         stream.append(round_)
         learner.observe(round_.x, round_.y)
     assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
@@ -266,7 +270,7 @@ def test_run_many_aggregates_sorted_seeds(tmp_path):
 
 
 def test_verify_oracles_quick_pass():
-    results, ok = verify_oracles(seed=0, quick=True)
+    results, ok = run_all(seed=0, quick=True)
     assert ok
     names = {r.name for r in results}
     assert "debiasing_enumeration" in names
@@ -299,7 +303,7 @@ def test_cli_config_error_exit_two(capsys):
 
 
 def test_cli_environment_violation_exit_four(monkeypatch):
-    def bad_round(strategy, target, learner_w, rng):
+    def bad_round(adversary, target, learner_w, rng):
         return LabeledRound(x=target.w_star * 2.0, y=1)
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
@@ -380,6 +384,37 @@ def test_cli_baseline_command(capsys):
     assert "baselines" in out and "perceptron" in out["baselines"]
 
 
+def test_cli_infinite_config_file_value_exit_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"t_horizon": 1e999}')
+    assert cli.main(["simulate-halfspace", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--zeta", "--domain-radius"])
+def test_cli_halfspace_nan_flag_exit_two(flag, capsys):
+    assert cli.main(["simulate-halfspace", "--t-horizon", "50", flag, "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--delta", "nan"), ("--gamma", "nan"), ("--reward-cap", "inf")]
+)
+def test_cli_bandit_non_finite_flag_exit_two(flag, value, capsys):
+    assert cli.main(["simulate-bandit", "--t-horizon", "50", flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_cli_seeds_below_one_exit_two(seeds, tmp_path, capsys):
+    argv = ["simulate-halfspace", "--t-horizon", "50", "--seeds", seeds, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_unknown_config_key_exit_two(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"bogus": 1}')
@@ -387,12 +422,11 @@ def test_cli_unknown_config_key_exit_two(tmp_path):
 
 
 def test_cli_oracle_failure_exit_three(monkeypatch, capsys):
-    from massart_online import harness
     from massart_online.oracles import CheckResult
 
     def failing_run_all(seed=0, quick=False):
         return [CheckResult("stub_check", False, "forced failure")], False
 
-    monkeypatch.setattr(harness, "run_all", failing_run_all)
+    monkeypatch.setattr(cli, "run_all", failing_run_all)
     assert cli.main(["verify"]) == 3
     assert "[FAIL] stub_check" in capsys.readouterr().out

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from massart_online.core import BanditConfig, Context, seeded_rng
-from massart_online.learner_bandit import (
-    BanditLearner,
-    fake_rewards,
-    reduce_classification_to_bandit,
-    select_action,
-)
+from massart_online.environments import reduce_classification_to_bandit
+from massart_online.learner_bandit import BanditLearner, fake_rewards, select_action
 from massart_online.oracles import (
     check_argmax_scale_invariance,
     check_debiasing,
@@ -159,6 +155,7 @@ def test_hand_traced_heads_round():
     assert fb.loss_value == pytest.approx(-0.25)
     # subgrad = 0.5*(0.5 - 1)/0.6 * z = (-0.25, 0); w' = w - 0.01*subgrad
     assert learner.w == pytest.approx(np.array([1.0 + 0.01 * 0.25, 0.0]) / np.linalg.norm([1.0 + 0.01 * 0.25, 0.0]))
+    assert learner.round == 1
 
 
 def test_feedback_invariants_and_reward_range():

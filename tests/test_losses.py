@@ -149,6 +149,55 @@ def test_arm_gap_loss_zero_branch_equal_rewards_vanishes():
         assert arm_gap_loss(w, params).value == 0.0
 
 
+def test_arm_gap_loss_underflowing_reference_takes_zero_branch():
+    # v is nonzero, but its norm underflows to 0 and cannot divide rho
+    ctx = Context(np.array([[0.5, -0.5], [0.0, 0.0]]))
+    kw = dict(
+        context=ctx, rewards=np.array([0.7, 0.2]), alpha=0, delta=0.5, rho=0.1, lambda_cap=1.0
+    )
+    tiny = ArmGapParams(v=np.full(2, 1e-170), **kw)
+    zero = ArmGapParams(v=np.zeros(2), **kw)
+    w = np.array([1.0, 0.3])
+    assert arm_gap_loss(w, tiny).value == arm_gap_loss(w, zero).value == pytest.approx(-0.5)
+
+
+def _arm_gap_loss_array_form(w, params):
+    # the whole-array arithmetic arm_gap_loss used before its per-arm terms
+    # moved to floats; both must return the same bytes
+    X, a = params.context.columns, params.alpha
+    y = params.rewards[a] - params.rewards
+    diffs = X[:, [a]] - X
+    mask = np.arange(X.shape[1]) != a
+    v = params.v
+    sgn = np.where(diffs.T @ v >= 0, 1.0, -1.0)
+    Z = diffs + (params.rho / float(np.linalg.norm(v))) * np.outer(v, sgn)
+    den = np.abs(Z.T @ v)
+    t = Z.T @ w
+    vals = 0.5 * (params.delta * np.abs(t) - y * t) / den
+    coef = 0.5 * (params.delta * np.sign(t) - y) / den
+    return float(vals[mask].sum()), Z[:, mask] @ coef[mask]
+
+
+@pytest.mark.parametrize("d,k", [(10, 3), (10, 2), (3, 6), (5, 12)])
+def test_arm_gap_loss_matches_array_form_bytes(d, k):
+    rng = seeded_rng(40)
+    for _ in range(200):
+        params = ArmGapParams(
+            context=Context(rng.uniform(-0.5, 0.5, (d, k))),
+            v=rng.standard_normal(d),
+            rewards=rng.uniform(0.0, 2.0, k),
+            alpha=int(rng.integers(k)),
+            delta=0.5,
+            rho=0.1,
+            lambda_cap=1.0,
+        )
+        # w = 0 puts every score on the kink, where np.sign(0) = 0
+        w = rng.standard_normal(d) if rng.random() < 0.8 else np.zeros(d)
+        value, subgrad = _arm_gap_loss_array_form(w, params)
+        out = arm_gap_loss(w, params)
+        assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
+
+
 def test_arm_gap_loss_main_branch_hand_example():
     # x_1 - x_2 = (0.5, 0); v = e1, rho = 0.1 -> z_2 = (0.6, 0)
     ctx = Context(np.array([[0.25, -0.25], [0.0, 0.0]]))

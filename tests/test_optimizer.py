@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from massart_online.core import seeded_rng
-from massart_online.optimizer import OgdState, ogd_update, project_ball, step_size
+from massart_online.optimizer import ogd_update, project_ball, step_size
 from massart_online.oracles import check_ogd_feasibility, check_ogd_regret
 
 
@@ -48,36 +48,24 @@ def test_project_ball_idempotent_and_closest():
 
 
 def test_ogd_update_plain_step():
-    state = OgdState(w=np.zeros(2), step=0.5)
-    out = ogd_update(state, np.array([1.0, 0.0]))
-    assert out.w == pytest.approx(np.array([-0.5, 0.0]))
-    assert out.round == 1
+    out = ogd_update(np.zeros(2), np.array([1.0, 0.0]), 0.5)
+    assert out == pytest.approx(np.array([-0.5, 0.0]))
 
 
 def test_ogd_update_zero_gradient_keeps_iterate():
-    state = OgdState(w=np.array([0.3, 0.4]), step=0.5)
-    out = ogd_update(state, np.zeros(2))
-    assert out.w == pytest.approx(state.w)
+    w = np.array([0.3, 0.4])
+    out = ogd_update(w, np.zeros(2), 0.5)
+    assert out == pytest.approx(w)
 
 
 def test_ogd_update_projection_fires():
-    state = OgdState(w=np.array([1.0, 0.0]), step=1.0, radius=1.0)
-    out = ogd_update(state, np.array([-2.0, 0.0]))
-    assert out.w == pytest.approx(np.array([1.0, 0.0]))
+    out = ogd_update(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), 1.0, radius=1.0)
+    assert out == pytest.approx(np.array([1.0, 0.0]))
 
 
 def test_ogd_update_dimension_mismatch():
-    state = OgdState(w=np.zeros(3), step=0.1)
     with pytest.raises(ValueError):
-        ogd_update(state, np.zeros(2))
-
-
-def test_ogd_update_accumulates_loss_and_rounds():
-    state = OgdState(w=np.zeros(2), step=0.1)
-    state = ogd_update(state, np.zeros(2), loss_value=1.5)
-    state = ogd_update(state, np.zeros(2), loss_value=-0.5)
-    assert state.round == 2
-    assert state.cumulative_loss == pytest.approx(1.0)
+        ogd_update(np.zeros(3), np.zeros(2), 0.1)
 
 
 def test_feasibility_oracle():
