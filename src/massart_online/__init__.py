@@ -4,7 +4,6 @@ k-arm contextual bandit learner for monotone rewards."""
 from .core import (
     BanditConfig,
     ConfigError,
-    Context,
     HalfspaceConfig,
     LabeledRound,
     derive_bandit_params,
@@ -25,7 +24,6 @@ __all__ = [
     "BanditConfig",
     "BanditLearner",
     "ConfigError",
-    "Context",
     "EnvironmentViolation",
     "HalfspaceConfig",
     "HalfspaceLearner",

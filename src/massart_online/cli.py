@@ -50,8 +50,6 @@ def _add_config_flags(parser):
             parser.add_argument(flag, choices=_KEY_CHOICES[key])
         else:
             parser.add_argument(flag, type=_KEY_TYPES[key])
-    parser.add_argument("--seeds", type=int, default=1, help="fan out over this many seeds")
-    parser.add_argument("--out", help="directory for run_<seed>.csv and report.json")
 
 
 def _merged_mapping(args):
@@ -138,13 +136,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_half = sub.add_parser("simulate-halfspace", help="run the noisy-halfspace learner")
-    _add_config_flags(p_half)
-    p_half.set_defaults(func=_cmd_simulate_halfspace)
-
-    p_bandit = sub.add_parser("simulate-bandit", help="run the k-arm learner")
-    _add_config_flags(p_bandit)
-    p_bandit.set_defaults(func=_cmd_simulate_bandit)
+    for name, func, text in (
+        ("simulate-halfspace", _cmd_simulate_halfspace, "run the noisy-halfspace learner"),
+        ("simulate-bandit", _cmd_simulate_bandit, "run the k-arm learner"),
+    ):
+        p_sim = sub.add_parser(name, help=text)
+        _add_config_flags(p_sim)
+        p_sim.add_argument("--seeds", type=int, default=1, help="fan out over this many seeds")
+        p_sim.add_argument("--out", help="directory for run_<seed>.csv and report.json")
+        p_sim.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the oracle check suite")
     p_verify.add_argument("--seed", type=int)

@@ -65,25 +65,6 @@ class LabeledRound(NamedTuple):
     y: int
 
 
-@dataclass(frozen=True)
-class Context:
-    """k context vectors stored as the columns of a (d, k) matrix."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        if self.columns.ndim != 2:
-            raise ValueError("context columns must form a (d, k) matrix")
-
-    @property
-    def d(self):
-        return self.columns.shape[0]
-
-    @property
-    def k(self):
-        return self.columns.shape[1]
-
-
 def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
     """Schedule for the noisy-halfspace learner from (eta, gamma, T, zeta).
 
@@ -264,16 +245,25 @@ def load_config_file(path):
     return raw
 
 
+def _integer(mapping, key, default):
+    """mapping[key] as an int; a bool or a float with a fraction is refused,
+    where int() would silently truncate it."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def halfspace_config_from(mapping):
     """Build a HalfspaceConfig from a flat config mapping (extra keys ignored)."""
     try:
         return HalfspaceConfig(
-            d=int(mapping.get("d", 10)),
-            t_horizon=int(mapping.get("t_horizon", 10000)),
+            d=_integer(mapping, "d", 10),
+            t_horizon=_integer(mapping, "t_horizon", 10000),
             eta=float(mapping.get("eta", 0.1)),
             gamma=float(mapping.get("gamma", 0.2)),
             zeta=float(mapping.get("zeta", 0.0)),
-            seed=int(mapping.get("seed", 0)),
+            seed=_integer(mapping, "seed", 0),
             domain_radius=float(mapping.get("domain_radius", 1.0)),
             adversary=str(mapping.get("adversary", "iid")),
         )
@@ -287,13 +277,13 @@ def bandit_config_from(mapping):
     """Build a BanditConfig from a flat config mapping (extra keys ignored)."""
     try:
         return BanditConfig(
-            d=int(mapping.get("d", 10)),
-            k=int(mapping.get("k", 3)),
-            t_horizon=int(mapping.get("t_horizon", 10000)),
+            d=_integer(mapping, "d", 10),
+            k=_integer(mapping, "k", 3),
+            t_horizon=_integer(mapping, "t_horizon", 10000),
             gamma=float(mapping.get("gamma", 0.2)),
             delta=float(mapping.get("delta", 0.5)),
             reward_cap=float(mapping.get("reward_cap", 1.0)),
-            seed=int(mapping.get("seed", 0)),
+            seed=_integer(mapping, "seed", 0),
             domain_radius=float(mapping.get("domain_radius", 1.0)),
             environment=str(mapping.get("environment", "monotone_k")),
         )

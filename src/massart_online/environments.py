@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ADVERSARIES, ConfigError, Context, LabeledRound
+from .core import ADVERSARIES, ConfigError, LabeledRound
 from .losses import sign_of
 from .optimizer import norm
 
@@ -141,7 +141,8 @@ def adversary_round(adversary, target, learner_w, rng):
 
 
 def gen_context(target, k, rng):
-    """k unit-ball columns with pairwise w_star-score gaps >= gamma, permuted."""
+    """A (d, k) context: k unit-ball columns with pairwise w_star-score gaps
+    >= gamma, permuted."""
     gamma = target.gamma
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
@@ -164,14 +165,14 @@ def gen_context(target, k, rng):
         for r, s, n in zip(rng.random(k).tolist(), scores, norms)
     ]
     columns = w_col * np.array(scores) + noise * np.array(scale)
-    return Context(columns[:, rng.permutation(k)])
+    return columns[:, rng.permutation(k)]
 
 
 def sample_sorted_rewards(target, context, rng):
     """Random rewards in [0, cap] ranked exactly like the w_star scores."""
-    scores = target.w_star @ context.columns
+    scores = target.w_star @ context
     ranks = scores.argsort().argsort()
-    values = np.sort(rng.uniform(0.0, target.reward_cap, context.k))
+    values = np.sort(rng.uniform(0.0, target.reward_cap, context.shape[1]))
     return values[ranks]
 
 
@@ -187,7 +188,7 @@ def sample_monotone_rewards(target, context, noise_scale, rng):
     cap/2 + delta*(i - (k-1)/2), so adjacent ranks differ by exactly delta in
     expectation. noise_scale must be small enough that no clipping is needed.
     """
-    k = context.k
+    k = context.shape[1]
     delta = target.delta
     cap = target.reward_cap
     if delta * (k - 1) > cap + 1e-12:
@@ -197,7 +198,7 @@ def sample_monotone_rewards(target, context, noise_scale, rng):
         raise ConfigError(
             f"noise_scale {noise_scale} would clip rewards; cap is {max_noise}"
         )
-    scores = target.w_star @ context.columns
+    scores = target.w_star @ context
     ranks = scores.argsort().argsort()
     base = cap / 2.0 + delta * (ranks - (k - 1) / 2.0)
     if noise_scale == 0:
@@ -218,14 +219,13 @@ class SortedRewardEnvironment:
 
 
 class MonotoneRewardEnvironment:
-    """Contexts from gen_context, rank-linear rewards with margin delta."""
+    """Contexts from gen_context, rank-linear rewards with margin delta and
+    the widest noise that keeps them inside [0, reward_cap]."""
 
-    def __init__(self, target, k, noise_scale=None):
+    def __init__(self, target, k):
         self.target = target
         self.k = k
-        if noise_scale is None:
-            noise_scale = monotone_noise_cap(k, target.delta, target.reward_cap)
-        self.noise_scale = noise_scale
+        self.noise_scale = monotone_noise_cap(k, target.delta, target.reward_cap)
 
     def next_round(self, rng):
         context = gen_context(self.target, self.k, rng)
@@ -233,9 +233,10 @@ class MonotoneRewardEnvironment:
 
 
 def reduce_classification_to_bandit(x, y):
-    """2-arm view of a labeled point: context (x, -x), rewards ((1+y)/2, (1-y)/2)."""
+    """2-arm view of a labeled point: (d, 2) context (x, -x), rewards
+    ((1+y)/2, (1-y)/2)."""
     x = np.asarray(x, dtype=float)
-    context = Context(np.array((x, -x)).T.copy())
+    context = np.array((x, -x)).T.copy()
     return context, np.array([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
 
 
@@ -263,11 +264,11 @@ class ReductionEnvironment:
         return reduce_classification_to_bandit(x, y)
 
 
-def make_bandit_environment(name, target, k, noise_scale=None):
+def make_bandit_environment(name, target, k):
     if name == "sorted_k":
         return SortedRewardEnvironment(target, k)
     if name == "monotone_k":
-        return MonotoneRewardEnvironment(target, k, noise_scale)
+        return MonotoneRewardEnvironment(target, k)
     if name == "reduction2":
         if k != 2:
             raise ConfigError("reduction2 is a 2-arm environment")

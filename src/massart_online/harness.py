@@ -84,12 +84,16 @@ def _audit_point(x, w_star, gamma):
         raise EnvironmentViolation(f"margin {margin} below the promised {gamma}")
 
 
-def _audit_context(context, rewards, w_star, gamma, reward_cap):
-    cols = context.columns
-    worst_sq = max((cols * cols).sum(axis=0).tolist())
+def _audit_context(context, rewards, w_star, config):
+    if context.shape != (config.d, config.k):
+        raise EnvironmentViolation(
+            f"context shape {context.shape} is not (d, k) = {(config.d, config.k)}"
+        )
+    gamma, reward_cap = config.gamma, config.reward_cap
+    worst_sq = max((context * context).sum(axis=0).tolist())
     if worst_sq > (1.0 + AUDIT_TOL) ** 2:
         raise EnvironmentViolation(f"context column norm {worst_sq**0.5} exceeds the unit ball")
-    scores = sorted((w_star @ cols).tolist())
+    scores = sorted((w_star @ context).tolist())
     min_gap = min(hi - lo for lo, hi in zip(scores, scores[1:]))
     if min_gap < gamma - AUDIT_TOL:
         raise EnvironmentViolation(f"context score gap {min_gap} below the promised {gamma}")
@@ -159,7 +163,7 @@ def run_halfspace_experiment(config, csv_path=None):
     }
 
 
-def run_bandit_experiment(config, csv_path=None, env_delta=None, env_noise_scale=None):
+def run_bandit_experiment(config, csv_path=None, env_delta=None):
     """Drive the k-arm learner for T rounds; returns the run report.
 
     The environment's full reward vectors stay private to this driver; they
@@ -176,9 +180,7 @@ def run_bandit_experiment(config, csv_path=None, env_delta=None, env_noise_scale
         delta=config.delta if env_delta is None else env_delta,
         reward_cap=config.reward_cap,
     )
-    env = environments.make_bandit_environment(
-        config.environment, target, config.k, env_noise_scale
-    )
+    env = environments.make_bandit_environment(config.environment, target, config.k)
     learner = BanditLearner(config, rng_learner)
     uniform_sum = 0.0
     greedy_sum = 0.0
@@ -187,7 +189,7 @@ def run_bandit_experiment(config, csv_path=None, env_delta=None, env_noise_scale
     try:
         for t in range(1, config.t_horizon + 1):
             context, rewards = env.next_round(rng_env)
-            _audit_context(context, rewards, target.w_star, config.gamma, config.reward_cap)
+            _audit_context(context, rewards, target.w_star, config)
             feedback = learner.play_round(context, lambda arm: rewards[arm])
             # the sum over the count is the float rewards.mean() returns
             uniform_sum += float(rewards.sum()) / rewards.size

@@ -2,22 +2,23 @@
 rewards on exploration rounds, and a projected gradient step on the scaled
 arm-gap loss."""
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .losses import ArmGapParams, arm_gap_loss
-from .optimizer import ogd_update
+from .losses import arm_gap_loss
+from .optimizer import ogd_update, project_ball
 
 
 def select_action(w, context, rng):
-    """Argmax arm of w . x_i, lowest index on ties; uniform arm when w == 0."""
-    X = context.columns
-    if X.shape[1] == 0:
+    """Argmax arm of w . x_i over the columns x_i of the (d, k) context,
+    lowest index on ties; uniform arm when w == 0."""
+    k = context.shape[1]
+    if k == 0:
         raise ValueError("empty context")
     if not w.any():
-        return int(rng.integers(X.shape[1]))
-    return int((w @ X).argmax())
+        return int(rng.integers(k))
+    return int((w @ context).argmax())
 
 
 def fake_rewards(k, reward_cap, beta, r_beta):
@@ -40,7 +41,6 @@ class BanditFeedback(NamedTuple):
     observed_reward: float
     played_arm: int
     explored: bool
-    explore_arm: Optional[int]
     greedy_arm: int
     score: float
     loss_value: float
@@ -60,51 +60,45 @@ class BanditLearner:
         self.exploration_count = 0
 
     def play_round(self, context, reward_oracle):
-        """One full round; reward_oracle(arm) is called exactly once.
+        """One full round on a (d, k) context; reward_oracle(arm) is called
+        exactly once.
 
         HEADS (probability q): play a uniform arm beta, build the fake reward
         vector from its reward, and step on (1/q) times the arm-gap loss with
-        the current iterate as reference vector. TAILS: play the greedy arm
-        and step on the zero loss.
+        the current iterate as reference vector. TAILS: play the greedy arm;
+        the loss is zero, so the step only projects.
         """
         config = self.config
         if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
         w = self.w
         alpha = select_action(w, context, self.rng)
-        score = float(w.dot(context.columns[:, alpha]))
+        score = float(w.dot(context[:, alpha]))
         explored = self.rng.random() < config.q
         if explored:
-            beta = int(self.rng.integers(context.k))
-            observed = float(reward_oracle(beta))
-            surrogate = fake_rewards(context.k, config.reward_cap, beta, observed)
-            params = ArmGapParams(
-                context=context,
-                v=w,
-                rewards=surrogate,
-                alpha=alpha,
-                delta=config.delta,
-                rho=config.rho,
-                lambda_cap=config.lambda_cap,
+            k = context.shape[1]
+            played = int(self.rng.integers(k))
+            observed = float(reward_oracle(played))
+            surrogate = fake_rewards(k, config.reward_cap, played, observed)
+            evaluated = arm_gap_loss(
+                w, context, w, surrogate, alpha, config.delta, config.rho, config.lambda_cap
             )
-            evaluated = arm_gap_loss(w, params)
             loss_value = evaluated.value / config.q
-            subgrad = evaluated.subgrad / config.q
-            played, explore_arm = beta, beta
+            self.w = ogd_update(
+                w, evaluated.subgrad / config.q, config.step_size, config.domain_radius
+            )
             self.exploration_count += 1
         else:
+            played = alpha
             observed = float(reward_oracle(alpha))
             loss_value = 0.0
-            subgrad = np.zeros(config.d)
-            played, explore_arm = alpha, None
-        self.w = ogd_update(w, subgrad, config.step_size, config.domain_radius)
+            self.w = project_ball(w, config.domain_radius)
         self.round += 1
         self.cumulative_reward += observed
         return BanditFeedback(
             observed_reward=observed,
             played_arm=played,
             explored=explored,
-            explore_arm=explore_arm,
             greedy_arm=alpha,
             score=score,
             loss_value=loss_value,

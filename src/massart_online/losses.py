@@ -6,12 +6,10 @@ while loss subgradients at a kink take the minimal-norm choice (slope 0 for
 the |t| term).
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Context
 from .optimizer import norm
 
 
@@ -70,63 +68,45 @@ def reweighted_margin_loss(w, x, y, w_ref, tau, delta_tilde):
     return LossEval(leaky_margin_loss(delta_tilde, t, y) / denom, coef * x)
 
 
-@dataclass(frozen=True)
-class ArmGapParams:
-    """Parameters of the k-arm gap loss; the weight vector is the argument.
-
-    rewards is the vector the loss is built from; when the debiasing
-    surrogate is plugged in its entries may exceed the environment cap.
-    """
-
-    context: Context
-    v: np.ndarray
-    rewards: np.ndarray
-    alpha: int
-    delta: float
-    rho: float
-    lambda_cap: float
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < self.context.k:
-            raise ValueError(f"alpha={self.alpha} out of range for k={self.context.k}")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.lambda_cap <= 0:
-            raise ValueError("lambda_cap must be positive")
-
-
-def arm_gap_loss(w, params):
+def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
     """Convex loss over arm-score gaps around the chosen arm alpha.
 
-    With reward gaps y_j = r[alpha] - r[j]: if the reference vector v has
-    norm 0 (v is zero, or so small that its norm underflows) the loss is the
-    linear form -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j.
-    Otherwise each difference is pushed distance rho away from v's decision
-    boundary,
+    X holds the k arms as the columns of a (d, k) matrix and v is the
+    reference vector. rewards is the vector the loss is built from; when the
+    debiasing surrogate is plugged in its entries may exceed the environment
+    cap. With reward gaps y_j = r[alpha] - r[j]: if v has norm 0 (v is zero,
+    or so small that its norm underflows) the loss is the linear form
+    -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j. Otherwise
+    each difference is pushed distance rho away from v's decision boundary,
 
         z_j = (x_alpha - x_j) + rho * sign((x_alpha - x_j) . v) * v/||v||,
 
     and the loss is sum_{j != alpha} leaky_margin_loss(delta, w.z_j, y_j)
-    divided by |v.z_j|; the construction makes |v.z_j| >= rho*||v|| > 0.
+    divided by |v.z_j|, the halfspace learner's loss on the k-1 rows z_j;
+    the construction makes |v.z_j| >= rho*||v|| > 0.
     """
-    X = params.context.columns
-    a = params.alpha
-    others = [j for j in range(X.shape[1]) if j != a]
-    diffs = X[:, a : a + 1] - X
-    v = params.v
+    k = X.shape[1]
+    if not 0 <= alpha < k:
+        raise ValueError(f"alpha={alpha} out of range for k={k}")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if lambda_cap <= 0:
+        raise ValueError("lambda_cap must be positive")
+    others = [j for j in range(k) if j != alpha]
+    diffs = X[:, alpha : alpha + 1] - X
     vnorm = norm(v)
     if vnorm == 0:
-        y = params.rewards[a] - params.rewards[others]
-        grad = -params.lambda_cap * (diffs[:, others] @ y)
+        y = rewards[alpha] - rewards[others]
+        grad = -lambda_cap * (diffs[:, others] @ y)
         return LossEval(float(np.dot(w, grad)), grad)
     sgn = (diffs.T @ v >= 0) * 2.0 - 1.0
-    Z = diffs + (params.rho / vnorm) * (v[:, None] * sgn)
-    # per-arm terms on floats, in the order of the array form (np.sign included)
-    den, t, r = (Z.T @ v).tolist(), (Z.T @ w).tolist(), params.rewards.tolist()
+    Z = diffs + (rho / vnorm) * (v[:, None] * sgn)
+    # per-arm terms on floats, in the order of the array form, so both give
+    # the same bytes
+    den, t, r = (Z.T @ v).tolist(), (Z.T @ w).tolist(), rewards.tolist()
     vals, coef = [], []
     for j in others:
-        tj, yj, dj = t[j], r[a] - r[j], abs(den[j])
-        sign = 1.0 if tj > 0 else -1.0 if tj < 0 else 0.0 if tj == 0 else tj
-        vals.append(0.5 * (params.delta * abs(tj) - yj * tj) / dj)
-        coef.append(0.5 * (params.delta * sign - yj) / dj)
+        tj, yj, dj = t[j], r[alpha] - r[j], abs(den[j])
+        vals.append(leaky_margin_loss(delta, tj, yj) / dj)
+        coef.append(leaky_margin_subgrad(delta, tj, yj) / dj)
     return LossEval(float(np.array(vals).sum()), Z[:, others] @ np.array(coef))

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BanditConfig, Context, seeded_rng
+from .core import BanditConfig, seeded_rng
 from .environments import HiddenTarget, gen_context, random_unit, sample_ball
 from .learner_bandit import BanditLearner, fake_rewards, select_action
 from .losses import (
-    ArmGapParams,
     arm_gap_loss,
     leaky_margin_loss,
     leaky_margin_subgrad,
@@ -84,6 +83,7 @@ def check_margin_loss_affine_in_y(seed=1, n=10_000, tol=1e-12):
 
 
 def _random_gap_params(rng, v_mode, d_max=8, k_max=6):
+    """arm_gap_loss keyword arguments for a random instance, and the reward cap."""
     d = int(rng.integers(2, d_max + 1))
     k = int(rng.integers(2, k_max + 1))
     columns = np.column_stack([sample_ball(rng, d) for _ in range(k)])
@@ -96,8 +96,8 @@ def _random_gap_params(rng, v_mode, d_max=8, k_max=6):
         v = random_unit(rng, d)
     else:
         v = random_unit(rng, d) * rng.uniform(0.05, 1.5)
-    params = ArmGapParams(
-        context=Context(columns),
+    kw = dict(
+        X=columns,
         v=v,
         rewards=rewards,
         alpha=alpha,
@@ -105,7 +105,7 @@ def _random_gap_params(rng, v_mode, d_max=8, k_max=6):
         rho=rng.uniform(0.02, 0.5),
         lambda_cap=rng.uniform(0.5, 40.0),
     )
-    return params, cap
+    return kw, cap
 
 
 def _reweighted_instance(rng):
@@ -130,11 +130,11 @@ def check_subgradient_inequality(seed=2, n=10_000, tol=1e-9):
         fu = reweighted_margin_loss(u, x, y, w_ref, tau, delta_tilde)
         worst = max(worst, fw.value + float(fw.subgrad @ (u - w)) - fu.value)
         v_mode = "zero" if i % 2 == 0 else "any"
-        params, _ = _random_gap_params(rng, v_mode)
-        dd = params.context.d
+        kw, _ = _random_gap_params(rng, v_mode)
+        dd = kw["X"].shape[0]
         w2, u2 = sample_ball(rng, dd), sample_ball(rng, dd)
-        gw = arm_gap_loss(w2, params)
-        gu = arm_gap_loss(u2, params)
+        gw = arm_gap_loss(w2, **kw)
+        gu = arm_gap_loss(u2, **kw)
         worst = max(worst, gw.value + float(gw.subgrad @ (u2 - w2)) - gu.value)
     return _result(
         "subgradient_inequality", worst <= tol, f"max violation {worst:.3e} over {n} pairs"
@@ -156,11 +156,11 @@ def check_midpoint_convexity(seed=3, n=10_000, tol=1e-9):
         ) / 2.0
         worst = max(worst, mid - avg)
         v_mode = "zero" if i % 2 == 0 else "any"
-        params, _ = _random_gap_params(rng, v_mode)
-        dd = params.context.d
+        kw, _ = _random_gap_params(rng, v_mode)
+        dd = kw["X"].shape[0]
         w2, u2 = sample_ball(rng, dd), sample_ball(rng, dd)
-        mid2 = arm_gap_loss((w2 + u2) / 2.0, params).value
-        avg2 = (arm_gap_loss(w2, params).value + arm_gap_loss(u2, params).value) / 2.0
+        mid2 = arm_gap_loss((w2 + u2) / 2.0, **kw).value
+        avg2 = (arm_gap_loss(w2, **kw).value + arm_gap_loss(u2, **kw).value) / 2.0
         worst = max(worst, mid2 - avg2)
     return _result(
         "midpoint_convexity", worst <= tol, f"max violation {worst:.3e} over {n} pairs"
@@ -178,12 +178,11 @@ def check_gap_loss_lipschitz(seed=4, n=10_000, tol=1e-9):
     worst = 0.0
     for i in range(n):
         v_mode = "zero" if i % 2 == 0 else "unit"
-        params, cap = _random_gap_params(rng, v_mode)
-        k = params.context.k
-        bound = 2.0 * cap * k * max(params.lambda_cap, 1.0 / params.rho)
-        d = params.context.d
+        kw, cap = _random_gap_params(rng, v_mode)
+        d, k = kw["X"].shape
+        bound = 2.0 * cap * k * max(kw["lambda_cap"], 1.0 / kw["rho"])
         w1, w2 = sample_ball(rng, d), sample_ball(rng, d)
-        gap = abs(arm_gap_loss(w1, params).value - arm_gap_loss(w2, params).value)
+        gap = abs(arm_gap_loss(w1, **kw).value - arm_gap_loss(w2, **kw).value)
         worst = max(worst, gap - bound * float(np.linalg.norm(w1 - w2)))
     return _result(
         "gap_loss_lipschitz", worst <= tol, f"max violation {worst:.3e} over {n} pairs"
@@ -205,7 +204,7 @@ def check_shift_sign_preservation(seed=5, n=10_000):
         rho = gamma / 2.0
         v = random_unit(rng, d) * rng.uniform(0.05, 2.0)
         vhat = v / np.linalg.norm(v)
-        diffs = context.columns[:, [alpha]] - context.columns
+        diffs = context[:, [alpha]] - context
         for j in range(k):
             if j == alpha:
                 continue
@@ -339,24 +338,15 @@ def check_debiasing(seed=9, n=1_000, tol=1e-9, fake_fn=fake_rewards, d_max=8, k_
     worst = 0.0
     for i in range(n):
         v_mode = ("zero", "unit", "any")[i % 3]
-        params, cap = _random_gap_params(rng, v_mode, d_max=d_max, k_max=k_max)
-        k = params.context.k
-        w = sample_ball(rng, params.context.d)
-        direct = arm_gap_loss(w, params)
+        kw, cap = _random_gap_params(rng, v_mode, d_max=d_max, k_max=k_max)
+        d, k = kw["X"].shape
+        w = sample_ball(rng, d)
+        direct = arm_gap_loss(w, **kw)
         value_sum = 0.0
-        grad_sum = np.zeros(params.context.d)
+        grad_sum = np.zeros(d)
         for beta in range(k):
-            surrogate = fake_fn(k, cap, beta, params.rewards[beta])
-            fake_params = ArmGapParams(
-                context=params.context,
-                v=params.v,
-                rewards=surrogate,
-                alpha=params.alpha,
-                delta=params.delta,
-                rho=params.rho,
-                lambda_cap=params.lambda_cap,
-            )
-            evaluated = arm_gap_loss(w, fake_params)
+            surrogate = fake_fn(k, cap, beta, kw["rewards"][beta])
+            evaluated = arm_gap_loss(w, **dict(kw, rewards=surrogate))
             value_sum += evaluated.value
             grad_sum += evaluated.subgrad
         mean_value = value_sum / k
@@ -425,7 +415,7 @@ def check_argmax_scale_invariance(seed=12, n=2_000):
     for _ in range(n):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(2, 7))
-        context = Context(np.column_stack([sample_ball(rng, d) for _ in range(k)]))
+        context = np.column_stack([sample_ball(rng, d) for _ in range(k)])
         w = random_unit(rng, d)
         base = select_action(w, context, rng)
         for scale in (1e-3, 7.0, 1e3):

@@ -20,13 +20,19 @@ from massart_online.harness import report_json, run_bandit_experiment, run_halfs
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
+
+def _integer_key(low, high):
+    # integers, floats with and without a fraction, and booleans
+    return st.one_of(st.integers(low, high), st.floats(low, high), st.booleans(), NON_FINITE)
+
+
 # d, k and t_horizon are capped so that no draw allocates a huge array or
 # runs more than 50 rounds; every float key may be any double at all
 VALUES = {
-    "d": st.one_of(st.integers(-2, 64), NON_FINITE),
-    "t_horizon": st.one_of(st.integers(-2, 50), NON_FINITE),
-    "k": st.one_of(st.integers(-1, 64), NON_FINITE),
-    "seed": st.one_of(st.integers(-3, 2**70), NON_FINITE),
+    "d": _integer_key(-2, 64),
+    "t_horizon": _integer_key(-2, 50),
+    "k": _integer_key(-1, 64),
+    "seed": _integer_key(-3, 2**70),
     "eta": ANY_FLOAT,
     "gamma": ANY_FLOAT,
     "zeta": ANY_FLOAT,
@@ -63,3 +69,8 @@ def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
         return
     text = report_json(report)
     json.loads(text, parse_constant=_reject_constant)
+    # an integer key that was read was taken as given, never truncated
+    for key in ("d", "t_horizon", "k", "seed"):
+        if key in mapping and key in report["config"]:
+            assert not isinstance(mapping[key], bool)
+            assert mapping[key] == report["config"][key]

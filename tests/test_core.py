@@ -4,7 +4,6 @@ import pytest
 from massart_online.core import (
     BanditConfig,
     ConfigError,
-    Context,
     HalfspaceConfig,
     derive_bandit_params,
     derive_halfspace_params,
@@ -139,13 +138,6 @@ def test_bandit_config_validates_environment():
         BanditConfig(d=3, k=3, t_horizon=100, gamma=0.2, delta=0.5, environment="massart2")
     with pytest.raises(ConfigError):
         BanditConfig(d=3, k=3, t_horizon=100, gamma=0.2, delta=0.5, environment="reduction2")
-
-
-def test_context_shape_validation():
-    with pytest.raises(ValueError):
-        Context(np.zeros(3))
-    ctx = Context(np.zeros((4, 2)))
-    assert ctx.d == 4 and ctx.k == 2
 
 
 def test_load_config_file_roundtrip(tmp_path):

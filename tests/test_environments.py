@@ -157,9 +157,9 @@ def test_gen_context_gaps_and_ball():
     target = _target(d=5, rng=rng, gamma=0.2)
     for _ in range(300):
         ctx = gen_context(target, 4, rng)
-        scores = np.sort(target.w_star @ ctx.columns)
+        scores = np.sort(target.w_star @ ctx)
         assert np.min(np.diff(scores)) >= 0.2 - 1e-12
-        assert np.max(np.linalg.norm(ctx.columns, axis=0)) <= 1.0 + 1e-12
+        assert np.max(np.linalg.norm(ctx, axis=0)) <= 1.0 + 1e-12
 
 
 def _gen_context_array_form(target, k, rng):
@@ -184,7 +184,7 @@ def test_gen_context_matches_array_form_bytes(d, k, gamma):
     target = _target(d=d, rng=seeded_rng(30), gamma=gamma)
     rng_a, rng_b = seeded_rng(31), seeded_rng(31)
     for _ in range(200):
-        got = gen_context(target, k, rng_a).columns
+        got = gen_context(target, k, rng_a)
         assert got.tobytes() == _gen_context_array_form(target, k, rng_b).tobytes()
 
 
@@ -192,7 +192,7 @@ def test_gen_context_three_arms_wide_margin():
     rng = seeded_rng(11)
     target = _target(d=3, rng=rng, gamma=0.5)
     ctx = gen_context(target, 3, rng)
-    scores = np.sort(target.w_star @ ctx.columns)
+    scores = np.sort(target.w_star @ ctx)
     assert np.min(np.diff(scores)) >= 0.5 - 1e-12
 
 
@@ -202,7 +202,7 @@ def test_gen_context_permutes_arm_order():
     orders = set()
     for _ in range(50):
         ctx = gen_context(target, 3, rng)
-        orders.add(tuple(np.argsort(target.w_star @ ctx.columns)))
+        orders.add(tuple(np.argsort(target.w_star @ ctx)))
     assert len(orders) > 1
 
 
@@ -219,7 +219,7 @@ def test_sorted_rewards_respect_ranking():
     for _ in range(200):
         ctx = gen_context(target, 4, rng)
         r = sample_sorted_rewards(target, ctx, rng)
-        scores = target.w_star @ ctx.columns
+        scores = target.w_star @ ctx
         assert np.all((r >= 0) & (r <= 2.0))
         for i in range(4):
             for j in range(4):
@@ -230,7 +230,7 @@ def test_equal_rewards_sorted_for_any_context():
     rng = seeded_rng(30)
     target = _target(d=3, rng=rng, gamma=0.3)
     ctx = gen_context(target, 3, rng)
-    scores = target.w_star @ ctx.columns
+    scores = target.w_star @ ctx
     r = np.full(3, 0.4)
     assert all(
         (r[i] - r[j]) * (scores[i] - scores[j]) >= 0 for i in range(3) for j in range(3)
@@ -242,7 +242,7 @@ def test_sorted_predicate_violated_by_swap():
     target = _target(d=3, rng=rng, gamma=0.3)
     ctx = gen_context(target, 3, rng)
     r = sample_monotone_rewards(_target(d=3, rng=seeded_rng(15), gamma=0.3, delta=0.3), ctx, 0.0, rng)
-    scores = target.w_star @ ctx.columns
+    scores = target.w_star @ ctx
     order = np.argsort(scores)
     swapped = r.copy()
     swapped[order[0]], swapped[order[-1]] = r[order[-1]], r[order[0]]
@@ -260,7 +260,7 @@ def test_monotone_rewards_noiseless_two_arms():
     target = _target(d=2, rng=rng, gamma=0.4, delta=0.5, reward_cap=1.0)
     ctx = gen_context(target, 2, rng)
     r = sample_monotone_rewards(target, ctx, 0.0, rng)
-    scores = target.w_star @ ctx.columns
+    scores = target.w_star @ ctx
     hi, lo = (0, 1) if scores[0] > scores[1] else (1, 0)
     assert r[hi] == pytest.approx(0.75)
     assert r[lo] == pytest.approx(0.25)
@@ -291,7 +291,7 @@ def test_monotone_margin_monte_carlo():
     k, delta, cap, noise = 3, 0.3, 2.0, 0.5
     target = _target(d=4, rng=rng, gamma=0.25, delta=delta, reward_cap=cap)
     ctx = gen_context(target, k, rng)
-    scores = target.w_star @ ctx.columns
+    scores = target.w_star @ ctx
     n = 100_000
     draws = np.array([sample_monotone_rewards(target, ctx, noise, rng) for _ in range(n)])
     sigma_pair = math.sqrt(2 * noise**2 / 3.0) / math.sqrt(n)
@@ -309,7 +309,7 @@ def test_reduction_environment_margin_and_rewards():
     assert env.eta == pytest.approx(0.1)
     for _ in range(300):
         ctx, r = env.next_round(rng)
-        scores = target.w_star @ ctx.columns
+        scores = target.w_star @ ctx
         assert abs(scores[0] - scores[1]) >= 0.2 - 1e-12
         assert sorted(r.tolist()) == [0.0, 1.0]
 
@@ -323,7 +323,7 @@ def test_reduction_reward_gap_matches_one_minus_two_eta():
     gaps = []
     for _ in range(n):
         ctx, r = env.next_round(rng)
-        scores = target.w_star @ ctx.columns
+        scores = target.w_star @ ctx
         hi = int(scores[0] < scores[1])
         gaps.append(r[hi] - r[1 - hi])
     mean_gap = float(np.mean(gaps))
@@ -336,5 +336,5 @@ def test_environment_drivers_smoke():
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.2, reward_cap=1.0)
     for env in (SortedRewardEnvironment(target, 3), MonotoneRewardEnvironment(target, 3)):
         ctx, r = env.next_round(rng)
-        assert ctx.k == 3
+        assert ctx.shape == (3, 3)
         assert r.shape == (3,)

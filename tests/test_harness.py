@@ -154,8 +154,8 @@ def test_environment_audit_catches_margin_violation(monkeypatch):
         run_halfspace_experiment(cfg)
 
 
-def test_environment_audit_catches_reward_violation(monkeypatch):
-    cfg = _bandit_config()
+def _corrupt_bandit_rounds(monkeypatch, corrupt):
+    # every bandit environment's round passes through corrupt(ctx, rewards)
     real_make = environments.make_bandit_environment
 
     class BadEnv:
@@ -163,16 +163,61 @@ def test_environment_audit_catches_reward_violation(monkeypatch):
             self.inner = inner
 
         def next_round(self, rng):
-            ctx, rewards = self.inner.next_round(rng)
-            return ctx, rewards + 5.0
+            return corrupt(*self.inner.next_round(rng))
 
     monkeypatch.setattr(
         environments,
         "make_bandit_environment",
         lambda *a, **kw: BadEnv(real_make(*a, **kw)),
     )
+
+
+def test_environment_audit_catches_reward_violation(monkeypatch):
+    cfg = _bandit_config()
+    _corrupt_bandit_rounds(monkeypatch, lambda ctx, rewards: (ctx, rewards + 5.0))
     with pytest.raises(EnvironmentViolation):
         run_bandit_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [lambda ctx: ctx.ravel(), lambda ctx: ctx[:, :-1], lambda ctx: ctx.T, lambda ctx: ctx[None]],
+    ids=["flat", "missing_arm", "transposed", "three_dim"],
+)
+def test_environment_audit_catches_context_shape_violation(reshape, monkeypatch):
+    # a context must be a (d, k) array
+    _corrupt_bandit_rounds(monkeypatch, lambda ctx, rewards: (reshape(ctx), rewards))
+    with pytest.raises(EnvironmentViolation, match="context shape"):
+        run_bandit_experiment(_bandit_config())
+    assert cli.main(["simulate-bandit", "--t-horizon", "10"]) == 4
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_runners_and_cli_call_the_module_level_hooks(tmp_path, monkeypatch, capsys):
+    # round drivers must reach the draw through these module attributes, and
+    # the CLI the runner through its own module's name, so that wrappers
+    # patched onto them see every round and every run
+    draws = _count_calls(monkeypatch, environments, "adversary_round")
+    run_halfspace_experiment(_halfspace_config(t_horizon=37, adversary="boundary"))
+    assert len(draws) == 37
+    contexts = _count_calls(monkeypatch, environments.MonotoneRewardEnvironment, "next_round")
+    run_bandit_experiment(_bandit_config(t_horizon=23))
+    assert len(contexts) == 23
+    runs = _count_calls(monkeypatch, cli, "run_halfspace_experiment")
+    argv = ["simulate-halfspace", "--t-horizon", "19", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(runs) == 1 and len(draws) == 37 + 19
 
 
 def test_perceptron_baseline_empty_stream():
@@ -413,6 +458,27 @@ def test_cli_seeds_below_one_exit_two(seeds, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "--seeds must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "3"], ["--out", "OUT"]])
+def test_cli_baseline_rejects_run_flags_exit_two(flags, tmp_path, capsys):
+    # baseline runs one seed and writes nothing, so it takes no --seeds / --out
+    flags = [str(tmp_path / "out") if f == "OUT" else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["baseline", "--t-horizon", "50", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ['{"d": 2.7}', '{"seed": true}'])
+def test_cli_non_integer_config_file_value_exit_two(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["simulate-halfspace", "--t-horizon", "50", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "must be an integer" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_unknown_config_key_exit_two(tmp_path):

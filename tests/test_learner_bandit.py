@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from massart_online.core import BanditConfig, Context, seeded_rng
+from massart_online.core import BanditConfig, seeded_rng
 from massart_online.environments import reduce_classification_to_bandit
 from massart_online.learner_bandit import BanditLearner, fake_rewards, select_action
 from massart_online.oracles import (
@@ -36,18 +36,18 @@ def _config(**overrides):
 
 
 def test_select_action_argmax():
-    ctx = Context(np.array([[0.9, 0.1], [0.0, 0.0]]))
+    ctx = np.array([[0.9, 0.1], [0.0, 0.0]])
     assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0)) == 0
 
 
 def test_select_action_tie_lowest_index():
-    ctx = Context(np.array([[0.4, 0.4, 0.1], [0.0, 0.0, 0.0]]))
+    ctx = np.array([[0.4, 0.4, 0.1], [0.0, 0.0, 0.0]])
     assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0)) == 0
 
 
 def test_select_action_zero_weight_uniform():
     rng = seeded_rng(0)
-    ctx = Context(np.array([[0.5, -0.5, 0.1], [0.0, 0.0, 0.2]]))
+    ctx = np.array([[0.5, -0.5, 0.1], [0.0, 0.0, 0.2]])
     k = 3
     n = 10_000
     counts = np.zeros(k)
@@ -59,7 +59,7 @@ def test_select_action_zero_weight_uniform():
 
 def test_select_action_empty_context():
     with pytest.raises(ValueError):
-        select_action(np.array([1.0]), Context(np.zeros((1, 0))), seeded_rng(0))
+        select_action(np.array([1.0]), np.zeros((1, 0)), seeded_rng(0))
 
 
 def test_scale_invariance_oracle():
@@ -96,11 +96,11 @@ def test_debiasing_enumeration_oracle():
 def test_reduce_classification_examples():
     ctx, rewards = reduce_classification_to_bandit(np.array([0.3, -0.1]), 1)
     assert rewards == pytest.approx(np.array([1.0, 0.0]))
-    assert ctx.columns == pytest.approx(np.column_stack(([0.3, -0.1], [-0.3, 0.1])))
+    assert ctx == pytest.approx(np.column_stack(([0.3, -0.1], [-0.3, 0.1])))
     _, rewards_neg = reduce_classification_to_bandit(np.array([0.3, -0.1]), -1)
     assert rewards_neg == pytest.approx(np.array([0.0, 1.0]))
     ctx_zero, _ = reduce_classification_to_bandit(np.zeros(2), 1)
-    assert ctx_zero.columns == pytest.approx(np.zeros((2, 2)))
+    assert ctx_zero == pytest.approx(np.zeros((2, 2)))
 
 
 def test_q_zero_regime_never_moves():
@@ -110,7 +110,7 @@ def test_q_zero_regime_never_moves():
         q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1, domain_radius=1.0,
     )
     learner = BanditLearner(stub, seeded_rng(0))
-    ctx = Context(np.array([[0.5, -0.5], [0.1, 0.2]]))
+    ctx = np.array([[0.5, -0.5], [0.1, 0.2]])
     w0 = learner.w.copy()
     for _ in range(50):
         fb = learner.play_round(ctx, lambda arm: 0.7)
@@ -121,12 +121,26 @@ def test_q_zero_regime_never_moves():
     assert learner.cumulative_reward == pytest.approx(50 * 0.7)
 
 
+def test_tails_round_only_projects():
+    # the TAILS loss is zero, so w moves only when it lies outside the ball:
+    # the first round pulls e1 onto radius 0.5, later rounds leave it there
+    stub = SimpleNamespace(
+        d=2, k=2, t_horizon=5, gamma=0.2, delta=0.5, reward_cap=1.0,
+        q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1, domain_radius=0.5,
+    )
+    learner = BanditLearner(stub, seeded_rng(0))
+    ctx = np.array([[0.5, -0.5], [0.1, 0.2]])
+    for _ in range(5):
+        assert not learner.play_round(ctx, lambda arm: 0.7).explored
+        assert learner.w.tobytes() == np.array([0.5, 0.0]).tobytes()
+
+
 def test_q_one_regime_explores_uniformly():
     rng = seeded_rng(4)
     config = _config(d=3, k=3, t_horizon=4000, gamma=0.01, delta=0.01)  # q clamps to 1
     assert config.q == 1.0
     learner = BanditLearner(config, rng)
-    ctx = Context(np.array([[0.5, 0.0, -0.5], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]]))
+    ctx = np.array([[0.5, 0.0, -0.5], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]])
     counts = np.zeros(3)
     for _ in range(4000):
         fb = learner.play_round(ctx, lambda arm: 0.3)
@@ -143,11 +157,11 @@ def test_hand_traced_heads_round():
         q=1.0, rho=0.1, lambda_cap=1.0, step_size=0.01, domain_radius=1.0,
     )
     learner = BanditLearner(stub, FixedRng(coins=[0.0], arms=[0]))
-    ctx = Context(np.array([[0.6, 0.1], [0.0, 0.0]]))
+    ctx = np.array([[0.6, 0.1], [0.0, 0.0]])
     rewards = np.array([1.0, 0.0])
     fb = learner.play_round(ctx, lambda arm: rewards[arm])
     assert fb.greedy_arm == 0  # argmax w . x
-    assert fb.explored and fb.explore_arm == 0 and fb.played_arm == 0
+    assert fb.explored and fb.played_arm == 0
     assert fb.observed_reward == 1.0
     assert fb.score == pytest.approx(0.6)
     # fake rewards (1, 0); y_2 = 1; z_2 = (0.5, 0) + 0.1*(1, 0) = (0.6, 0)
@@ -166,12 +180,9 @@ def test_feedback_invariants_and_reward_range():
     for t in range(500):
         cols = env_rng.uniform(-0.5, 0.5, (3, 3))
         rewards = env_rng.uniform(0.0, 1.0, 3)
-        fb = learner.play_round(Context(cols), lambda arm: rewards[arm])
-        if fb.explored:
-            assert fb.explore_arm is not None
-            assert fb.observed_reward == rewards[fb.explore_arm]
-        else:
-            assert fb.explore_arm is None
+        fb = learner.play_round(cols, lambda arm: rewards[arm])
+        assert fb.observed_reward == rewards[fb.played_arm]
+        if not fb.explored:
             assert fb.played_arm == fb.greedy_arm
         assert learner.exploration_count <= learner.round
         assert 0 <= learner.cumulative_reward <= config.reward_cap * learner.round
@@ -184,7 +195,7 @@ def test_exploration_frequency_oracle():
 def test_horizon_guard():
     config = _config(t_horizon=1)
     learner = BanditLearner(config, seeded_rng(0))
-    ctx = Context(np.array([[0.5, -0.5], [0.0, 0.0]]))
+    ctx = np.array([[0.5, -0.5], [0.0, 0.0]])
     learner.play_round(ctx, lambda arm: 0.5)
     with pytest.raises(RuntimeError):
         learner.play_round(ctx, lambda arm: 0.5)
@@ -194,7 +205,7 @@ def test_reward_oracle_called_exactly_once_per_round():
     calls = []
     config = _config(t_horizon=200)
     learner = BanditLearner(config, seeded_rng(8))
-    ctx = Context(np.array([[0.5, -0.5], [0.0, 0.0]]))
+    ctx = np.array([[0.5, -0.5], [0.0, 0.0]])
     for t in range(200):
         learner.play_round(ctx, lambda arm: calls.append(arm) or 0.5)
     assert len(calls) == 200

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from massart_online.core import Context, seeded_rng
+from massart_online.core import seeded_rng
 from massart_online.losses import (
-    ArmGapParams,
     arm_gap_loss,
     leaky_margin_loss,
     leaky_margin_subgrad,
@@ -116,9 +115,8 @@ def test_reweighted_loss_rejects_nonpositive_tau():
 
 def test_arm_gap_loss_zero_branch_hand_example():
     # columns chosen so x_1 - x_2 = (1, 0)
-    ctx = Context(np.array([[0.5, -0.5], [0.0, 0.0]]))
-    params = ArmGapParams(
-        context=ctx,
+    kw = dict(
+        X=np.array([[0.5, -0.5], [0.0, 0.0]]),
         v=np.zeros(2),
         rewards=np.array([0.7, 0.2]),
         alpha=0,
@@ -127,16 +125,15 @@ def test_arm_gap_loss_zero_branch_hand_example():
         lambda_cap=1.0,
     )
     for w1 in (1.0, -0.4, 0.0):
-        out = arm_gap_loss(np.array([w1, 0.3]), params)
+        out = arm_gap_loss(np.array([w1, 0.3]), **kw)
         assert out.value == pytest.approx(-0.5 * w1)
-    assert arm_gap_loss(np.zeros(2), params).subgrad == pytest.approx(np.array([-0.5, 0.0]))
+    assert arm_gap_loss(np.zeros(2), **kw).subgrad == pytest.approx(np.array([-0.5, 0.0]))
 
 
 def test_arm_gap_loss_zero_branch_equal_rewards_vanishes():
     rng = seeded_rng(2)
-    ctx = Context(rng.uniform(-0.5, 0.5, (3, 4)))
-    params = ArmGapParams(
-        context=ctx,
+    kw = dict(
+        X=rng.uniform(-0.5, 0.5, (3, 4)),
         v=np.zeros(3),
         rewards=np.full(4, 0.3),
         alpha=2,
@@ -146,35 +143,39 @@ def test_arm_gap_loss_zero_branch_equal_rewards_vanishes():
     )
     for _ in range(10):
         w = rng.standard_normal(3)
-        assert arm_gap_loss(w, params).value == 0.0
+        assert arm_gap_loss(w, **kw).value == 0.0
 
 
 def test_arm_gap_loss_underflowing_reference_takes_zero_branch():
     # v is nonzero, but its norm underflows to 0 and cannot divide rho
-    ctx = Context(np.array([[0.5, -0.5], [0.0, 0.0]]))
     kw = dict(
-        context=ctx, rewards=np.array([0.7, 0.2]), alpha=0, delta=0.5, rho=0.1, lambda_cap=1.0
+        X=np.array([[0.5, -0.5], [0.0, 0.0]]),
+        rewards=np.array([0.7, 0.2]),
+        alpha=0,
+        delta=0.5,
+        rho=0.1,
+        lambda_cap=1.0,
     )
-    tiny = ArmGapParams(v=np.full(2, 1e-170), **kw)
-    zero = ArmGapParams(v=np.zeros(2), **kw)
     w = np.array([1.0, 0.3])
-    assert arm_gap_loss(w, tiny).value == arm_gap_loss(w, zero).value == pytest.approx(-0.5)
+    tiny = arm_gap_loss(w, v=np.full(2, 1e-170), **kw)
+    zero = arm_gap_loss(w, v=np.zeros(2), **kw)
+    assert tiny.value == zero.value == pytest.approx(-0.5)
 
 
-def _arm_gap_loss_array_form(w, params):
+def _arm_gap_loss_array_form(w, kw):
     # the whole-array arithmetic arm_gap_loss used before its per-arm terms
     # moved to floats; both must return the same bytes
-    X, a = params.context.columns, params.alpha
-    y = params.rewards[a] - params.rewards
+    X, a = kw["X"], kw["alpha"]
+    y = kw["rewards"][a] - kw["rewards"]
     diffs = X[:, [a]] - X
     mask = np.arange(X.shape[1]) != a
-    v = params.v
+    v = kw["v"]
     sgn = np.where(diffs.T @ v >= 0, 1.0, -1.0)
-    Z = diffs + (params.rho / float(np.linalg.norm(v))) * np.outer(v, sgn)
+    Z = diffs + (kw["rho"] / float(np.linalg.norm(v))) * np.outer(v, sgn)
     den = np.abs(Z.T @ v)
     t = Z.T @ w
-    vals = 0.5 * (params.delta * np.abs(t) - y * t) / den
-    coef = 0.5 * (params.delta * np.sign(t) - y) / den
+    vals = 0.5 * (kw["delta"] * np.abs(t) - y * t) / den
+    coef = 0.5 * (kw["delta"] * np.sign(t) - y) / den
     return float(vals[mask].sum()), Z[:, mask] @ coef[mask]
 
 
@@ -182,8 +183,8 @@ def _arm_gap_loss_array_form(w, params):
 def test_arm_gap_loss_matches_array_form_bytes(d, k):
     rng = seeded_rng(40)
     for _ in range(200):
-        params = ArmGapParams(
-            context=Context(rng.uniform(-0.5, 0.5, (d, k))),
+        kw = dict(
+            X=rng.uniform(-0.5, 0.5, (d, k)),
             v=rng.standard_normal(d),
             rewards=rng.uniform(0.0, 2.0, k),
             alpha=int(rng.integers(k)),
@@ -193,16 +194,16 @@ def test_arm_gap_loss_matches_array_form_bytes(d, k):
         )
         # w = 0 puts every score on the kink, where np.sign(0) = 0
         w = rng.standard_normal(d) if rng.random() < 0.8 else np.zeros(d)
-        value, subgrad = _arm_gap_loss_array_form(w, params)
-        out = arm_gap_loss(w, params)
+        value, subgrad = _arm_gap_loss_array_form(w, kw)
+        out = arm_gap_loss(w, **kw)
         assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
 
 
 def test_arm_gap_loss_main_branch_hand_example():
     # x_1 - x_2 = (0.5, 0); v = e1, rho = 0.1 -> z_2 = (0.6, 0)
-    ctx = Context(np.array([[0.25, -0.25], [0.0, 0.0]]))
-    params = ArmGapParams(
-        context=ctx,
+    out = arm_gap_loss(
+        np.array([1.0, 0.0]),
+        X=np.array([[0.25, -0.25], [0.0, 0.0]]),
         v=np.array([1.0, 0.0]),
         rewards=np.array([1.0, 0.0]),
         alpha=0,
@@ -210,27 +211,26 @@ def test_arm_gap_loss_main_branch_hand_example():
         rho=0.1,
         lambda_cap=1.0,
     )
-    out = arm_gap_loss(np.array([1.0, 0.0]), params)
     assert out.value == pytest.approx(-0.25)
     assert out.subgrad == pytest.approx(np.array([-0.25, 0.0]))
 
 
 def test_arm_gap_loss_rejects_bad_params():
-    ctx = Context(np.zeros((2, 2)))
+    X, w = np.zeros((2, 2)), np.zeros(2)
     with pytest.raises(ValueError):
-        ArmGapParams(ctx, np.zeros(2), np.zeros(2), alpha=2, delta=0.5, rho=0.1, lambda_cap=1.0)
+        arm_gap_loss(w, X, w, w, alpha=2, delta=0.5, rho=0.1, lambda_cap=1.0)
     with pytest.raises(ValueError):
-        ArmGapParams(ctx, np.zeros(2), np.zeros(2), alpha=0, delta=0.5, rho=0.0, lambda_cap=1.0)
+        arm_gap_loss(w, X, w, w, alpha=0, delta=0.5, rho=0.0, lambda_cap=1.0)
     with pytest.raises(ValueError):
-        ArmGapParams(ctx, np.zeros(2), np.zeros(2), alpha=0, delta=0.5, rho=0.1, lambda_cap=0.0)
+        arm_gap_loss(w, X, w, w, alpha=0, delta=0.5, rho=0.1, lambda_cap=0.0)
 
 
 def test_arm_gap_loss_denominator_never_vanishes():
     # v . z_j = sign(v . diff_j) * (|v . diff_j| + rho * ||v||), even when
     # v . diff_j == 0 under the sign_of(0) = +1 convention
-    ctx = Context(np.array([[0.0, 0.0], [0.4, -0.4]]))  # diffs orthogonal to v
-    params = ArmGapParams(
-        context=ctx,
+    out = arm_gap_loss(
+        np.array([0.3, 0.7]),
+        X=np.array([[0.0, 0.0], [0.4, -0.4]]),  # diffs orthogonal to v
         v=np.array([1.0, 0.0]),
         rewards=np.array([1.0, 0.0]),
         alpha=0,
@@ -238,7 +238,6 @@ def test_arm_gap_loss_denominator_never_vanishes():
         rho=0.25,
         lambda_cap=1.0,
     )
-    out = arm_gap_loss(np.array([0.3, 0.7]), params)
     assert np.isfinite(out.value)
     assert np.all(np.isfinite(out.subgrad))
 
