@@ -246,12 +246,21 @@ def load_config_file(path):
 
 
 def _integer(mapping, key, default):
-    """mapping[key] as an int; a bool or a float with a fraction is refused,
-    where int() would silently truncate it."""
+    """mapping[key] as an int; a bool, a string or a float with a fraction is
+    refused, where int() would silently convert or truncate it."""
     value = mapping.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(mapping, key, default):
+    """mapping[key] as a float; a bool or a string is refused, where float()
+    would silently take true as 1.0 or parse "0.3"."""
+    value = mapping.get(key, default)
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def halfspace_config_from(mapping):
@@ -260,11 +269,11 @@ def halfspace_config_from(mapping):
         return HalfspaceConfig(
             d=_integer(mapping, "d", 10),
             t_horizon=_integer(mapping, "t_horizon", 10000),
-            eta=float(mapping.get("eta", 0.1)),
-            gamma=float(mapping.get("gamma", 0.2)),
-            zeta=float(mapping.get("zeta", 0.0)),
+            eta=_number(mapping, "eta", 0.1),
+            gamma=_number(mapping, "gamma", 0.2),
+            zeta=_number(mapping, "zeta", 0.0),
             seed=_integer(mapping, "seed", 0),
-            domain_radius=float(mapping.get("domain_radius", 1.0)),
+            domain_radius=_number(mapping, "domain_radius", 1.0),
             adversary=str(mapping.get("adversary", "iid")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -280,11 +289,11 @@ def bandit_config_from(mapping):
             d=_integer(mapping, "d", 10),
             k=_integer(mapping, "k", 3),
             t_horizon=_integer(mapping, "t_horizon", 10000),
-            gamma=float(mapping.get("gamma", 0.2)),
-            delta=float(mapping.get("delta", 0.5)),
-            reward_cap=float(mapping.get("reward_cap", 1.0)),
+            gamma=_number(mapping, "gamma", 0.2),
+            delta=_number(mapping, "delta", 0.5),
+            reward_cap=_number(mapping, "reward_cap", 1.0),
             seed=_integer(mapping, "seed", 0),
-            domain_radius=float(mapping.get("domain_radius", 1.0)),
+            domain_radius=_number(mapping, "domain_radius", 1.0),
             environment=str(mapping.get("environment", "monotone_k")),
         )
     except (TypeError, ValueError, OverflowError) as exc:

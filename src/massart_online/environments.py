@@ -4,17 +4,25 @@ label channel, and sorted / monotone reward distributions.
 Generators promise, by construction: points in the unit ball with
 |w_star . x| >= gamma, pairwise context score gaps >= gamma, rewards inside
 [0, reward_cap]. The harness re-checks all of it independently.
+
+The streams that never read the learner (iid points, sorted_k, monotone_k,
+reduction2) are drawn BLOCK rounds per numpy call and served one row per
+round; blocks are always full, so round t's draw depends on the seed and t
+only. Each per-round function is the one-row case of its block function and
+consumes the generator in the same order as one round of that block.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .core import ADVERSARIES, ConfigError, LabeledRound
 from .losses import sign_of
 from .optimizer import norm
+
+# rounds per block of an oblivious stream
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -47,22 +55,75 @@ def sample_ball(rng, d):
     return direction * rng.random() ** (1.0 / d)
 
 
-def _iid_margin_point(target, rng):
-    # uniform ball point with its w_star component resampled into +-[gamma, 1],
-    # perpendicular part shrunk back inside the ball if needed
+def block_rows(draw, rng):
+    """Rounds one at a time, from full blocks: draw(rng, BLOCK) returns one
+    block's rounds. Nothing is drawn before the first round is asked for."""
+    while True:
+        yield from draw(rng, BLOCK)
+
+
+def _rowdot(a, b):
+    # a[i] . b[i] for each row of the (n, d) array a (b is (n, d), or one (d,)
+    # vector for every row); a stacked matmul of 1-D pairs takes the same dot
+    # product as a[i].dot(b[i]), bit for bit
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _check_margin(gamma):
+    if gamma > 1:
+        raise ConfigError(f"margin gamma={gamma} is infeasible in the unit ball")
+    if gamma <= 0:
+        raise ConfigError("margin gamma must be positive")
+
+
+def iid_points(target, rng, n):
+    """(n, d) iid margin points: uniform ball points with the w_star component
+    resampled into +-[gamma, 1], the perpendicular part shrunk back inside the
+    ball if needed."""
+    _check_margin(target.gamma)
     w_star = target.w_star
     d = w_star.shape[0]
-    u = sample_ball(rng, d)
+    # uniform ball rows as sample_ball draws them, a near-zero direction redrawn
+    v = rng.standard_normal((n, d))
+    v_norm = np.sqrt(_rowdot(v, v))
+    for i in np.flatnonzero(v_norm <= 1e-12):
+        while v_norm[i] <= 1e-12:
+            v[i] = rng.standard_normal(d)
+            v_norm[i] = norm(v[i])
+    radius, s, sign = rng.random((3, n))
+    # the power on floats: numpy's array power can differ in the last ulp
+    u = v / v_norm[:, None] * np.array([r ** (1.0 / d) for r in radius.tolist()])[:, None]
     # Generator.uniform(gamma, 1.0) without its argument handling
-    s = target.gamma + (1.0 - target.gamma) * rng.random()
-    if rng.random() < 0.5:
-        s = -s
-    perp = u - float(u.dot(w_star)) * w_star
-    budget = math.sqrt(max(0.0, 1.0 - s * s))
-    pnorm = norm(perp)
-    if pnorm > budget:
-        perp = perp * (budget / pnorm) if budget > 0 else np.zeros(d)
-    return s * w_star + perp
+    s = target.gamma + (1.0 - target.gamma) * s
+    s = np.where(sign < 0.5, -s, s)
+    perp = u - _rowdot(u, w_star)[:, None] * w_star
+    budget = np.sqrt(np.maximum(0.0, 1.0 - s * s))
+    p_norm = np.sqrt(_rowdot(perp, perp))
+    perp *= np.divide(budget, p_norm, out=np.ones(n), where=p_norm > budget)[:, None]
+    # no room off the w_star axis: +0.0, not the signed zeros of perp * 0
+    perp[budget == 0.0] = 0.0
+    return s[:, None] * w_star + perp
+
+
+def massart_labels(target, points, rng):
+    """Clean labels sign_of(w_star . x) of the (n, d) points, each flipped
+    with probability target.eta; a list of ints."""
+    clean = np.where(_rowdot(points, target.w_star) >= 0, 1, -1)
+    flip = rng.random(points.shape[0]) < target.eta
+    return np.where(flip, -clean, clean).tolist()
+
+
+def massart_label(target, x, eta_t, rng):
+    """Clean label sign_of(w_star . x), flipped with probability eta_t <= eta.
+
+    Kept per round rather than as the one-row case of massart_labels: the
+    boundary and adaptive adversaries label every round with it, and the
+    one-row array form costs about six times as much per call."""
+    if eta_t < 0 or eta_t > target.eta:
+        raise ValueError(f"per-round flip probability {eta_t} exceeds the cap {target.eta}")
+    clean = sign_of(float(target.w_star.dot(x)))
+    flip = rng.random() < eta_t
+    return -clean if flip else clean
 
 
 def _boundary_point(target, learner_w, rng):
@@ -73,7 +134,7 @@ def _boundary_point(target, learner_w, rng):
     d = w_star.shape[0]
     lnorm = norm(learner_w) if learner_w is not None else 0.0
     if lnorm == 0.0:
-        return _iid_margin_point(target, rng)
+        return iid_points(target, rng, 1)[0]
     wh = learner_w / lnorm
     c = float(w_star.dot(wh))
     p_vec = w_star - c * wh
@@ -110,26 +171,36 @@ def gen_margin_example(adversary, target, learner_w, rng):
     |w_star . x| >= gamma."""
     if adversary not in ADVERSARIES:
         raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
-    if target.gamma > 1:
-        raise ConfigError(f"margin gamma={target.gamma} is infeasible in the unit ball")
-    if target.gamma <= 0:
-        raise ConfigError("margin gamma must be positive")
+    _check_margin(target.gamma)
     if adversary == "iid":
-        return _iid_margin_point(target, rng)
+        return iid_points(target, rng, 1)[0]
     return _boundary_point(target, learner_w, rng)
 
 
-def massart_label(target, x, eta_t, rng):
-    """Clean label sign_of(w_star . x), flipped with probability eta_t <= eta."""
-    if eta_t < 0 or eta_t > target.eta:
-        raise ValueError(f"per-round flip probability {eta_t} exceeds the cap {target.eta}")
-    clean = sign_of(float(target.w_star.dot(x)))
-    flip = rng.random() < eta_t
-    return -clean if flip else clean
+def _labeled_iid(target, rng, n):
+    # one block of iid points and their labels
+    points = iid_points(target, rng, n)
+    return points, massart_labels(target, points, rng)
 
 
-def adversary_round(adversary, target, learner_w, rng):
-    """Point plus label for one round; the adaptive adversary sees learner_w."""
+class MarginStream:
+    """One run's source of halfspace rounds: the generator that boundary and
+    adaptive rounds draw from each round, and the iid rounds, served from
+    blocks of labeled points."""
+
+    def __init__(self, target, rng):
+        self.rng = rng
+        self.iid = block_rows(
+            lambda rng, n: map(LabeledRound, *_labeled_iid(target, rng, n)), rng
+        )
+
+
+def adversary_round(adversary, target, learner_w, stream):
+    """Point plus label for one round from the run's MarginStream; the
+    adaptive adversary sees learner_w."""
+    if adversary == "iid":
+        return next(stream.iid)
+    rng = stream.rng
     x = gen_margin_example(adversary, target, learner_w, rng)
     if adversary == "adaptive":
         # flip only where it can cause a mistake, staying under the eta cap
@@ -140,9 +211,10 @@ def adversary_round(adversary, target, learner_w, rng):
     return LabeledRound(x, massart_label(target, x, target.eta, rng))
 
 
-def gen_context(target, k, rng):
-    """A (d, k) context: k unit-ball columns with pairwise w_star-score gaps
-    >= gamma, permuted."""
+def context_block(target, k, rng, n):
+    """n contexts as an (n, d, k) array, each k unit-ball columns with pairwise
+    w_star-score gaps >= gamma, permuted; and the (n, k) ascending-score rank
+    of every column, which is the permutation."""
     gamma = target.gamma
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
@@ -152,28 +224,44 @@ def gen_context(target, k, rng):
     d = w_star.shape[0]
     slack = max(0.0, 2.0 / (k - 1) - gamma)
     # uniform draws as low + (high - low) * random(), the form Generator.uniform
-    # computes; the per-arm arithmetic runs on floats, in the same order
-    gaps = gamma + slack / 2.0 * rng.random(k - 1)
-    lo = -1.0 + ((1.0 - float(gaps.sum())) + 1.0) * rng.random()
-    scores = [lo + offset for offset in accumulate(gaps.tolist(), initial=0.0)]
-    noise = rng.standard_normal((d, k))
+    # computes; the cumulative sum adds the gaps in order
+    gaps = gamma + slack / 2.0 * rng.random((n, k - 1))
+    lo = -1.0 + ((1.0 - gaps.sum(axis=1)) + 1.0) * rng.random(n)
+    offsets = np.zeros((n, k))
+    np.cumsum(gaps, axis=1, out=offsets[:, 1:])
+    scores = lo[:, None] + offsets
+    noise = rng.standard_normal((n, d, k))
     w_col = w_star[:, None]
-    noise -= w_col * (w_star @ noise)
-    norms = [math.sqrt(sq) for sq in (noise * noise).sum(axis=0).tolist()]
-    scale = [
-        r * math.sqrt(max(0.0, 1.0 - s * s)) / (1.0 if n < 1e-12 else n)
-        for r, s, n in zip(rng.random(k).tolist(), scores, norms)
-    ]
-    columns = w_col * np.array(scores) + noise * np.array(scale)
-    return columns[:, rng.permutation(k)]
+    noise -= w_col * (w_star @ noise)[:, None, :]
+    norms = np.sqrt((noise * noise).sum(axis=1))
+    norms[norms < 1e-12] = 1.0
+    scale = rng.random((n, k)) * np.sqrt(np.maximum(0.0, 1.0 - scores * scores)) / norms
+    columns = w_col * scores[:, None, :] + noise * scale[:, None, :]
+    ranks = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+    return np.take_along_axis(columns, ranks[:, None, :], axis=2), ranks
+
+
+def gen_context(target, k, rng):
+    """A (d, k) context: k unit-ball columns with pairwise w_star-score gaps
+    >= gamma, permuted."""
+    return context_block(target, k, rng, 1)[0][0]
+
+
+def _ranks(target, context):
+    # (1, k) ascending-score rank of each column of one context
+    return (target.w_star @ context).argsort().argsort()[None]
+
+
+def sorted_rewards(target, ranks, rng):
+    """(n, k) random rewards in [0, cap], each row ranked exactly like its
+    (n, k) score ranks."""
+    values = np.sort(rng.uniform(0.0, target.reward_cap, ranks.shape), axis=1)
+    return np.take_along_axis(values, ranks, axis=1)
 
 
 def sample_sorted_rewards(target, context, rng):
     """Random rewards in [0, cap] ranked exactly like the w_star scores."""
-    scores = target.w_star @ context
-    ranks = scores.argsort().argsort()
-    values = np.sort(rng.uniform(0.0, target.reward_cap, context.shape[1]))
-    return values[ranks]
+    return sorted_rewards(target, _ranks(target, context), rng)[0]
 
 
 def monotone_noise_cap(k, delta, reward_cap):
@@ -181,14 +269,15 @@ def monotone_noise_cap(k, delta, reward_cap):
     return (reward_cap - delta * (k - 1)) / 2.0
 
 
-def sample_monotone_rewards(target, context, noise_scale, rng):
-    """Rank-linear base rewards with margin delta plus bounded uniform noise.
+def monotone_rewards(target, ranks, noise_scale, rng):
+    """(n, k) rank-linear base rewards with margin delta plus bounded uniform
+    noise, for (n, k) ascending-score ranks.
 
-    Base reward for ascending-score rank i (0-based) is
-    cap/2 + delta*(i - (k-1)/2), so adjacent ranks differ by exactly delta in
-    expectation. noise_scale must be small enough that no clipping is needed.
+    Base reward for rank i (0-based) is cap/2 + delta*(i - (k-1)/2), so
+    adjacent ranks differ by exactly delta in expectation. noise_scale must
+    be small enough that no clipping is needed.
     """
-    k = context.shape[1]
+    k = ranks.shape[1]
     delta = target.delta
     cap = target.reward_cap
     if delta * (k - 1) > cap + 1e-12:
@@ -198,28 +287,47 @@ def sample_monotone_rewards(target, context, noise_scale, rng):
         raise ConfigError(
             f"noise_scale {noise_scale} would clip rewards; cap is {max_noise}"
         )
-    scores = target.w_star @ context
-    ranks = scores.argsort().argsort()
     base = cap / 2.0 + delta * (ranks - (k - 1) / 2.0)
     if noise_scale == 0:
         return base
-    return base + rng.uniform(-noise_scale, noise_scale, k)
+    return base + rng.uniform(-noise_scale, noise_scale, ranks.shape)
 
 
-class SortedRewardEnvironment:
-    """Contexts from gen_context, rewards sampled already sorted."""
+def sample_monotone_rewards(target, context, noise_scale, rng):
+    """Rank-linear rewards of one context (see monotone_rewards)."""
+    return monotone_rewards(target, _ranks(target, context), noise_scale, rng)[0]
+
+
+class _BlockEnvironment:
+    """Serves one round per next_round call from blocks drawn by the
+    subclass's _block(rng, n); the first call draws the first block."""
+
+    _rows = None
+
+    def next_round(self, rng):
+        if self._rows is None:
+            self._rows = block_rows(self._block, rng)
+        return next(self._rows)
+
+
+class SortedRewardEnvironment(_BlockEnvironment):
+    """Contexts from context_block, rewards sampled already sorted."""
 
     def __init__(self, target, k):
         self.target = target
         self.k = k
 
-    def next_round(self, rng):
-        context = gen_context(self.target, self.k, rng)
-        return context, sample_sorted_rewards(self.target, context, rng)
+    def _block(self, rng, n):
+        contexts, ranks = context_block(self.target, self.k, rng, n)
+        return zip(contexts, sorted_rewards(self.target, ranks, rng))
+
+    # bound in each class, so that a wrapper patched onto one class sees
+    # that environment's rounds only
+    next_round = _BlockEnvironment.next_round
 
 
-class MonotoneRewardEnvironment:
-    """Contexts from gen_context, rank-linear rewards with margin delta and
+class MonotoneRewardEnvironment(_BlockEnvironment):
+    """Contexts from context_block, rank-linear rewards with margin delta and
     the widest noise that keeps them inside [0, reward_cap]."""
 
     def __init__(self, target, k):
@@ -227,20 +335,28 @@ class MonotoneRewardEnvironment:
         self.k = k
         self.noise_scale = monotone_noise_cap(k, target.delta, target.reward_cap)
 
-    def next_round(self, rng):
-        context = gen_context(self.target, self.k, rng)
-        return context, sample_monotone_rewards(self.target, context, self.noise_scale, rng)
+    def _block(self, rng, n):
+        contexts, ranks = context_block(self.target, self.k, rng, n)
+        return zip(contexts, monotone_rewards(self.target, ranks, self.noise_scale, rng))
+
+    next_round = _BlockEnvironment.next_round
+
+
+def _reduction_block(points, labels):
+    # (n, d, 2) contexts (x, -x) and (n, 2) rewards ((1+y)/2, (1-y)/2)
+    y = np.array(labels, dtype=float)
+    rewards = np.stack(((1.0 + y) / 2.0, (1.0 - y) / 2.0), axis=1)
+    return np.stack((points, -points), axis=2), rewards
 
 
 def reduce_classification_to_bandit(x, y):
     """2-arm view of a labeled point: (d, 2) context (x, -x), rewards
     ((1+y)/2, (1-y)/2)."""
-    x = np.asarray(x, dtype=float)
-    context = np.array((x, -x)).T.copy()
-    return context, np.array([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
+    contexts, rewards = _reduction_block(np.asarray(x, dtype=float)[None], [y])
+    return contexts[0], rewards[0]
 
 
-class ReductionEnvironment:
+class ReductionEnvironment(_BlockEnvironment):
     """2-arm view of the noisy halfspace stream.
 
     Contexts are (x, -x) for a margin-gamma/2 point x, rewards are
@@ -258,10 +374,10 @@ class ReductionEnvironment:
             reward_cap=target.reward_cap,
         )
 
-    def next_round(self, rng):
-        x = gen_margin_example("iid", self.point_target, None, rng)
-        y = massart_label(self.point_target, x, self.eta, rng)
-        return reduce_classification_to_bandit(x, y)
+    def _block(self, rng, n):
+        return zip(*_reduction_block(*_labeled_iid(self.point_target, rng, n)))
+
+    next_round = _BlockEnvironment.next_round
 
 
 def make_bandit_environment(name, target, k):

@@ -119,17 +119,19 @@ def run_halfspace_experiment(config, csv_path=None):
     learner = HalfspaceLearner(config)
     perceptron = _Perceptron(config.d)
     random_mistakes = 0
+    stream = environments.MarginStream(target, rng_env)
+    heads = environments.block_rows(lambda rng, n: (rng.random(n) < 0.5).tolist(), rng_base)
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
-            round_ = environments.adversary_round(config.adversary, target, learner.w, rng_env)
+            round_ = environments.adversary_round(config.adversary, target, learner.w, stream)
             x, y = round_.x, round_.y
             _audit_point(x, target.w_star, config.gamma)
             if y not in (-1, 1):
                 raise EnvironmentViolation(f"label {y} outside {{-1, +1}}")
             score = float(learner.w.dot(x))
             evaluated = learner.observe(x, y)
-            guess = 1 if rng_base.random() < 0.5 else -1
+            guess = 1 if next(heads) else -1
             if guess != y:
                 random_mistakes += 1
             perceptron.observe(x, y)
@@ -185,6 +187,9 @@ def run_bandit_experiment(config, csv_path=None, env_delta=None):
     uniform_sum = 0.0
     greedy_sum = 0.0
     random_play = 0.0
+    arms = environments.block_rows(
+        lambda rng, n: rng.integers(config.k, size=n).tolist(), rng_base
+    )
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
@@ -194,7 +199,7 @@ def run_bandit_experiment(config, csv_path=None, env_delta=None):
             # the sum over the count is the float rewards.mean() returns
             uniform_sum += float(rewards.sum()) / rewards.size
             greedy_sum += float(rewards[feedback.greedy_arm])
-            random_play += float(rewards[rng_base.integers(config.k)])
+            random_play += float(rewards[next(arms)])
             if sink.fh:
                 sink.write(
                     t, feedback.played_arm, feedback.observed_reward, feedback.score,

@@ -18,16 +18,23 @@ from massart_online.core import (
 from massart_online.harness import report_json, run_bandit_experiment, run_halfspace_experiment
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# JSON strings that float() or int() would parse
+NUMERIC_STRING = st.one_of(st.floats(allow_nan=False).map(repr), st.integers(-3, 64).map(str))
+# any double at all, booleans, and numeric strings
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), NUMERIC_STRING
+)
 
 
 def _integer_key(low, high):
-    # integers, floats with and without a fraction, and booleans
-    return st.one_of(st.integers(low, high), st.floats(low, high), st.booleans(), NON_FINITE)
+    # integers, floats with and without a fraction, booleans and numeric strings
+    return st.one_of(
+        st.integers(low, high), st.floats(low, high), st.booleans(), NON_FINITE, NUMERIC_STRING
+    )
 
 
 # d, k and t_horizon are capped so that no draw allocates a huge array or
-# runs more than 50 rounds; every float key may be any double at all
+# runs more than 50 rounds
 VALUES = {
     "d": _integer_key(-2, 64),
     "t_horizon": _integer_key(-2, 50),
@@ -69,8 +76,11 @@ def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
         return
     text = report_json(report)
     json.loads(text, parse_constant=_reject_constant)
-    # an integer key that was read was taken as given, never truncated
+    # a key that was read was a JSON number, and an integer key was taken
+    # as given, never truncated
+    for key, value in mapping.items():
+        if key in report["config"] and key not in ("adversary", "environment"):
+            assert not isinstance(value, (bool, str))
     for key in ("d", "t_horizon", "k", "seed"):
         if key in mapping and key in report["config"]:
-            assert not isinstance(mapping[key], bool)
             assert mapping[key] == report["config"][key]

@@ -5,14 +5,19 @@ import pytest
 
 from massart_online.core import ConfigError, seeded_rng
 from massart_online.environments import (
+    BLOCK,
     HiddenTarget,
+    MarginStream,
     MonotoneRewardEnvironment,
     ReductionEnvironment,
     SortedRewardEnvironment,
     adversary_round,
+    context_block,
     gen_context,
     gen_margin_example,
+    iid_points,
     massart_label,
+    massart_labels,
     monotone_noise_cap,
     random_unit,
     sample_monotone_rewards,
@@ -37,7 +42,8 @@ def test_unknown_adversary_raises_config_error():
         with pytest.raises(ConfigError):
             gen_margin_example(name, target, None, seeded_rng(0))
         with pytest.raises(ConfigError):
-            adversary_round(name, target, np.array([0.0, 1.0]), seeded_rng(0))
+            stream = MarginStream(target, seeded_rng(0))
+            adversary_round(name, target, np.array([0.0, 1.0]), stream)
 
 
 def test_iid_points_respect_ball_and_margin():
@@ -132,8 +138,9 @@ def test_disagreement_rate_capped_for_all_strategies(name):
     learner_w = random_unit(rng, d)
     n = 20_000
     disagree = 0
+    stream = MarginStream(target, rng)
     for _ in range(n):
-        round_ = adversary_round(name, target, learner_w, rng)
+        round_ = adversary_round(name, target, learner_w, stream)
         disagree += round_.y != sign_of(float(target.w_star @ round_.x))
     sigma = math.sqrt(0.15 * 0.85 / n)
     assert disagree / n <= 0.15 + 3 * sigma
@@ -144,8 +151,9 @@ def test_adaptive_adversary_never_flips_when_already_wrong():
     d = 3
     target = _target(d=d, rng=rng, eta=0.5 - 1e-3, gamma=0.2)
     learner_w = random_unit(rng, d)
+    stream = MarginStream(target, rng)
     for _ in range(2000):
-        round_ = adversary_round("adaptive", target, learner_w, rng)
+        round_ = adversary_round("adaptive", target, learner_w, stream)
         pred = sign_of(float(learner_w @ round_.x))
         clean = sign_of(float(target.w_star @ round_.x))
         if pred != clean:
@@ -338,3 +346,111 @@ def test_environment_drivers_smoke():
         ctx, r = env.next_round(rng)
         assert ctx.shape == (3, 3)
         assert r.shape == (3,)
+
+
+def _iid_round_per_round_form(target, rng):
+    # the per-round arithmetic of an iid point and its label before the stream
+    # was drawn in blocks; a one-row block must give the same bytes from the
+    # same draws
+    w_star = target.w_star
+    d = w_star.shape[0]
+    while True:
+        v = rng.standard_normal(d)
+        v_norm = math.sqrt(v.dot(v))
+        if v_norm > 1e-12:
+            break
+    u = v / v_norm * rng.random() ** (1.0 / d)
+    s = target.gamma + (1.0 - target.gamma) * rng.random()
+    if rng.random() < 0.5:
+        s = -s
+    perp = u - float(u.dot(w_star)) * w_star
+    budget = math.sqrt(max(0.0, 1.0 - s * s))
+    pnorm = math.sqrt(perp.dot(perp))
+    if pnorm > budget:
+        perp = perp * (budget / pnorm) if budget > 0 else np.zeros(d)
+    x = s * w_star + perp
+    clean = sign_of(float(w_star.dot(x)))
+    return x, -clean if rng.random() < target.eta else clean
+
+
+@pytest.mark.parametrize(
+    "d,gamma,axis",
+    [(1, 0.5, False), (2, 0.2, False), (5, 1.0, False), (10, 0.05, False), (20, 0.2, False),
+     (33, 0.7, False), (3, 1.0, True)],
+)
+def test_iid_one_row_block_matches_per_round_bytes(d, gamma, axis):
+    # axis: w_star is a coordinate vector, so at gamma = 1 the signs of the
+    # zero coordinates are part of the bytes
+    if axis:
+        target = HiddenTarget(w_star=np.eye(d)[-1], eta=0.3, gamma=gamma)
+    else:
+        target = _target(d=d, rng=seeded_rng(40), eta=0.3, gamma=gamma)
+    rng_a, rng_b = seeded_rng(41), seeded_rng(41)
+    for _ in range(200):
+        x = iid_points(target, rng_a, 1)
+        y = massart_labels(target, x, rng_a)
+        x_ref, y_ref = _iid_round_per_round_form(target, rng_b)
+        assert x[0].tobytes() == x_ref.tobytes()
+        assert y == [y_ref]
+
+
+def test_constructors_draw_nothing():
+    # the first round draws the first block, never a constructor
+    rng = seeded_rng(45)
+    target = _target(d=4, rng=rng, eta=0.1, gamma=0.2, delta=0.3)
+    state = rng.bit_generator.state
+    MarginStream(target, rng)
+    SortedRewardEnvironment(target, 3)
+    MonotoneRewardEnvironment(target, 3)
+    ReductionEnvironment(target)
+    assert rng.bit_generator.state == state
+
+
+def test_iid_block_rows_keep_ball_margin_and_flip_rate():
+    rng = seeded_rng(42)
+    target = _target(d=6, rng=rng, eta=0.1, gamma=0.3)
+    blocks = 40
+    flips = 0
+    for _ in range(blocks):
+        x = iid_points(target, rng, BLOCK)
+        y = massart_labels(target, x, rng)
+        assert x.shape == (BLOCK, 6) and len(y) == BLOCK
+        assert np.linalg.norm(x, axis=1).max() <= 1.0 + 1e-12
+        scores = x @ target.w_star
+        assert np.abs(scores).min() >= 0.3 - 1e-12
+        flips += sum(label != sign_of(score) for label, score in zip(y, scores.tolist()))
+    n = blocks * BLOCK
+    assert abs(flips / n - 0.1) <= 3 * math.sqrt(0.1 * 0.9 / n)
+
+
+def test_context_block_rows_keep_ball_and_score_gaps():
+    rng = seeded_rng(43)
+    target = _target(d=5, rng=rng, gamma=0.2)
+    contexts, ranks = context_block(target, 4, rng, BLOCK)
+    assert contexts.shape == (BLOCK, 5, 4) and ranks.shape == (BLOCK, 4)
+    assert np.linalg.norm(contexts, axis=1).max() <= 1.0 + 1e-12
+    scores = np.array([target.w_star @ ctx for ctx in contexts])
+    assert np.diff(np.sort(scores, axis=1), axis=1).min() >= 0.2 - 1e-12
+    assert (scores.argsort(axis=1).argsort(axis=1) == ranks).all()
+
+
+@pytest.mark.parametrize(
+    "name,k,delta",
+    [("sorted_k", 4, 0.2), ("monotone_k", 4, 0.2), ("monotone_k", 3, 0.5)],
+)
+def test_block_environment_rewards_ranked_like_scores(name, k, delta):
+    # the audit checks ranges and gaps but not the ranking, so this test does;
+    # the rounds cross a block boundary
+    rng = seeded_rng(44)
+    cap = 1.0
+    target = _target(d=5, rng=rng, gamma=0.2, delta=delta, reward_cap=cap)
+    env = (SortedRewardEnvironment if name == "sorted_k" else MonotoneRewardEnvironment)(target, k)
+    noise = monotone_noise_cap(k, delta, cap)
+    base = cap / 2.0 + delta * (np.arange(k) - (k - 1) / 2.0)
+    for _ in range(BLOCK + 100):
+        ctx, r = env.next_round(rng)
+        ranked = r[np.argsort(target.w_star @ ctx)]
+        if name == "sorted_k":
+            assert np.all(np.diff(ranked) >= 0)
+        else:
+            assert np.abs(ranked - base).max() <= noise + 1e-12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from massart_online import cli, environments
+from massart_online import cli, environments, harness
 from massart_online.core import (
     BanditConfig,
     HalfspaceConfig,
@@ -239,8 +239,8 @@ def test_perceptron_noiseless_margin_mistake_bound():
 
 
 def test_inline_perceptron_matches_standalone():
-    # rebuild the exact stream the run consumed (same seed, same order) and
-    # feed it to the standalone perceptron op
+    # rebuild the exact stream the run consumed (same seed, same per-run
+    # block source, same order) and feed it to the standalone perceptron op
     from massart_online.core import spawn_streams
     from massart_online.learner_halfspace import HalfspaceLearner
 
@@ -250,13 +250,50 @@ def test_inline_perceptron_matches_standalone():
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng_env, cfg.d), eta=cfg.eta, gamma=cfg.gamma
     )
+    source = environments.MarginStream(target, rng_env)
     learner = HalfspaceLearner(cfg)
     stream = []
     for _ in range(cfg.t_horizon):
-        round_ = environments.adversary_round(cfg.adversary, target, learner.w, rng_env)
+        round_ = environments.adversary_round(cfg.adversary, target, learner.w, source)
         stream.append(round_)
         learner.observe(round_.x, round_.y)
     assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
+
+
+def _audited(monkeypatch, name):
+    # copies of the first argument of every call of the named harness audit
+    seen = []
+    original = getattr(harness, name)
+
+    def record(first, *rest):
+        seen.append(first.copy())
+        return original(first, *rest)
+
+    monkeypatch.setattr(harness, name, record)
+    return seen
+
+
+def test_iid_stream_prefix_does_not_depend_on_horizon(tmp_path, monkeypatch):
+    # blocks are always full, so round t's draw depends on the seed and t only
+    observed, points = [], []
+    for t_horizon in (300, 1000):
+        audited = _audited(monkeypatch, "_audit_point")
+        path = tmp_path / f"run_{t_horizon}.csv"
+        run_halfspace_experiment(_halfspace_config(t_horizon=t_horizon), csv_path=str(path))
+        observed.append([row["observed"] for row in _csv_rows(path)][:300])
+        points.append(np.array(audited[:300]))
+    assert observed[0] == observed[1]
+    assert points[0].tobytes() == points[1].tobytes()
+
+
+def test_monotone_stream_prefix_does_not_depend_on_horizon(monkeypatch):
+    contexts = []
+    for t_horizon in (300, 1000):
+        audited = _audited(monkeypatch, "_audit_context")
+        run_bandit_experiment(_bandit_config(t_horizon=t_horizon))
+        contexts.append(np.array(audited[:300]))
+    assert contexts[0].shape == (300, 5, 3)
+    assert contexts[0].tobytes() == contexts[1].tobytes()
 
 
 def test_perceptron_worse_than_learner_on_noisy_boundary_stream():
@@ -478,6 +515,29 @@ def test_cli_non_integer_config_file_value_exit_two(text, tmp_path, capsys):
     assert cli.main(["simulate-halfspace", "--t-horizon", "50", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert "must be an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("simulate-halfspace", '{"gamma": true}', "gamma must be a number"),
+        ("simulate-halfspace", '{"domain_radius": true}', "domain_radius must be a number"),
+        ("simulate-bandit", '{"delta": true}', "delta must be a number"),
+        ("simulate-halfspace", '{"gamma": "0.3"}', "gamma must be a number"),
+        ("simulate-bandit", '{"reward_cap": "1.0"}', "reward_cap must be a number"),
+        ("simulate-halfspace", '{"d": "4"}', "d must be an integer"),
+    ],
+    ids=["bool_gamma", "bool_domain_radius", "bool_delta", "string_gamma", "string_reward_cap",
+         "string_d"],
+)
+def test_cli_non_number_config_file_value_exit_two(command, text, message, tmp_path, capsys):
+    # JSON booleans and strings are refused in numeric keys, not converted
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main([command, "--t-horizon", "50", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 
