@@ -67,7 +67,10 @@ def _out_dir(args):
     if not args.out:
         return None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {args.out} as a directory: {exc}") from exc
     return out
 
 
@@ -104,7 +107,9 @@ def _cmd_simulate_bandit(args):
 
 
 def _cmd_verify(args):
-    results, ok = run_all(seed=args.seed if args.seed is not None else 0, quick=args.quick)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    results, ok = run_all(seed=args.seed, quick=args.quick)
     for result in results:
         print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
     print(f"{sum(r.passed for r in results)}/{len(results)} oracle checks passed")
@@ -147,7 +152,7 @@ def build_parser():
         p_sim.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the oracle check suite")
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--quick", action="store_true", help="10x smaller sample counts")
     p_verify.set_defaults(func=_cmd_verify)
 

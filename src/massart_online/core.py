@@ -1,9 +1,9 @@
 """Shared domain types, experiment configuration, and the deterministic RNG contract.
 
 Vectors (weights, points, rewards) are plain numpy arrays; arm indices are
-0-based everywhere. The config dataclasses are immutable after construction
-and carry all derived schedule parameters, so a config plus a seed fully
-determines an experiment transcript.
+0-based everywhere. The config dataclasses cast and check every value on every
+path, are immutable after construction and carry all derived schedule
+parameters, so a config plus a seed fully determines an experiment transcript.
 """
 
 import json
@@ -27,22 +27,6 @@ FLOAT_MAGNITUDE = (1e-100, 1e100)
 ADVERSARIES = ("iid", "boundary", "adaptive")
 ENVIRONMENTS = ("massart2", "sorted_k", "monotone_k", "reduction2")
 BANDIT_ENVIRONMENTS = ("sorted_k", "monotone_k", "reduction2")
-
-CONFIG_KEYS = (
-    "d",
-    "t_horizon",
-    "eta",
-    "gamma",
-    "zeta",
-    "k",
-    "delta",
-    "reward_cap",
-    "seed",
-    "adversary",
-    "environment",
-    "domain_radius",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -151,6 +135,42 @@ def _check_numbers(config):
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
 
+def _cast(name, kind, value):
+    """value as kind (int or float); a bool, a string or, for an int, a float
+    with a fraction is refused, where int() or float() would silently take
+    true as 1, parse "0.3" or truncate 2.7."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, (bool, str)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from exc
+
+
+def _settle(config, derive, *names):
+    """Cast each int / float init field of config by its annotation, check the
+    numbers and d, then set the schedule derive(*values of names) returns and
+    check the numbers again; every failure is a ConfigError."""
+    for f in fields(config):
+        if f.init and f.type in (int, float):
+            object.__setattr__(config, f.name, _cast(f.name, f.type, getattr(config, f.name)))
+    _check_numbers(config)
+    if config.d < 1:
+        raise ConfigError(f"d must be at least 1, got {config.d}")
+    try:
+        derived = derive(*(getattr(config, name) for name in names))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+    for name, value in derived.items():
+        object.__setattr__(config, name, value)
+    _check_numbers(config)
+
+
 @dataclass(frozen=True)
 class HalfspaceConfig:
     """Full configuration of one halfspace run, derived schedule included."""
@@ -170,17 +190,11 @@ class HalfspaceConfig:
     epsilon_clamped: bool = field(init=False)
 
     def __post_init__(self):
-        _check_numbers(self)
-        if self.d < 1:
-            raise ConfigError(f"d must be at least 1, got {self.d}")
         if self.adversary not in ADVERSARIES:
             raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {self.adversary!r}")
-        derived = derive_halfspace_params(
-            self.eta, self.gamma, self.t_horizon, self.zeta, self.domain_radius
+        _settle(
+            self, derive_halfspace_params, "eta", "gamma", "t_horizon", "zeta", "domain_radius"
         )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        _check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -203,13 +217,14 @@ class BanditConfig:
     q_clamped: bool = field(init=False)
 
     def __post_init__(self):
-        _check_numbers(self)
-        if self.d < 1:
-            raise ConfigError(f"d must be at least 1, got {self.d}")
         if self.environment not in BANDIT_ENVIRONMENTS:
             raise ConfigError(
                 f"environment must be one of {BANDIT_ENVIRONMENTS}, got {self.environment!r}"
             )
+        _settle(
+            self, derive_bandit_params,
+            "gamma", "delta", "reward_cap", "k", "t_horizon", "domain_radius",
+        )
         if self.environment == "reduction2":
             if self.k != 2:
                 raise ConfigError("reduction2 is a 2-arm environment, set k=2")
@@ -217,12 +232,15 @@ class BanditConfig:
                 raise ConfigError("reduction2 needs delta in (0, 1]")
             if self.reward_cap < 1:
                 raise ConfigError("reduction2 emits rewards in {0, 1}, set reward_cap >= 1")
-        derived = derive_bandit_params(
-            self.gamma, self.delta, self.reward_cap, self.k, self.t_horizon, self.domain_radius
-        )
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        _check_numbers(self)
+
+
+# every key a config file or the CLI may set: the init fields of both classes
+CONFIG_KEYS = tuple(
+    dict.fromkeys(f.name for cls in (HalfspaceConfig, BanditConfig) for f in fields(cls) if f.init)
+)
+
+# what a config reader gives a required field the mapping leaves out
+_READ_DEFAULTS = {"d": 10, "k": 3, "t_horizon": 10000, "eta": 0.1, "gamma": 0.2, "delta": 0.5}
 
 
 def config_dict(config):
@@ -232,11 +250,13 @@ def config_dict(config):
 
 def load_config_file(path):
     """Read a flat JSON key/value config file and validate its keys."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
@@ -245,58 +265,18 @@ def load_config_file(path):
     return raw
 
 
-def _integer(mapping, key, default):
-    """mapping[key] as an int; a bool, a string or a float with a fraction is
-    refused, where int() would silently convert or truncate it."""
-    value = mapping.get(key, default)
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(mapping, key, default):
-    """mapping[key] as a float; a bool or a string is refused, where float()
-    would silently take true as 1.0 or parse "0.3"."""
-    value = mapping.get(key, default)
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _config_from(cls, mapping):
+    # each init field of cls from the mapping; one it leaves out takes the
+    # reader's default, or else the class's
+    values = {**_READ_DEFAULTS, **mapping}
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.init and f.name in values})
 
 
 def halfspace_config_from(mapping):
     """Build a HalfspaceConfig from a flat config mapping (extra keys ignored)."""
-    try:
-        return HalfspaceConfig(
-            d=_integer(mapping, "d", 10),
-            t_horizon=_integer(mapping, "t_horizon", 10000),
-            eta=_number(mapping, "eta", 0.1),
-            gamma=_number(mapping, "gamma", 0.2),
-            zeta=_number(mapping, "zeta", 0.0),
-            seed=_integer(mapping, "seed", 0),
-            domain_radius=_number(mapping, "domain_radius", 1.0),
-            adversary=str(mapping.get("adversary", "iid")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _config_from(HalfspaceConfig, mapping)
 
 
 def bandit_config_from(mapping):
     """Build a BanditConfig from a flat config mapping (extra keys ignored)."""
-    try:
-        return BanditConfig(
-            d=_integer(mapping, "d", 10),
-            k=_integer(mapping, "k", 3),
-            t_horizon=_integer(mapping, "t_horizon", 10000),
-            gamma=_number(mapping, "gamma", 0.2),
-            delta=_number(mapping, "delta", 0.5),
-            reward_cap=_number(mapping, "reward_cap", 1.0),
-            seed=_integer(mapping, "seed", 0),
-            domain_radius=_number(mapping, "domain_radius", 1.0),
-            environment=str(mapping.get("environment", "monotone_k")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _config_from(BanditConfig, mapping)

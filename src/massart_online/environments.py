@@ -8,8 +8,8 @@ Generators promise, by construction: points in the unit ball with
 The streams that never read the learner (iid points, sorted_k, monotone_k,
 reduction2) are drawn BLOCK rounds per numpy call and served one row per
 round; blocks are always full, so round t's draw depends on the seed and t
-only. Each per-round function is the one-row case of its block function and
-consumes the generator in the same order as one round of that block.
+only. gen_context is the one-row case of context_block and consumes the
+generator in the same order as one round of a block.
 """
 
 import math
@@ -166,17 +166,6 @@ def _boundary_point(target, learner_w, rng):
     return base
 
 
-def gen_margin_example(adversary, target, learner_w, rng):
-    """One point of the named adversary (one of core.ADVERSARIES): unit ball,
-    |w_star . x| >= gamma."""
-    if adversary not in ADVERSARIES:
-        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
-    _check_margin(target.gamma)
-    if adversary == "iid":
-        return iid_points(target, rng, 1)[0]
-    return _boundary_point(target, learner_w, rng)
-
-
 def _labeled_iid(target, rng, n):
     # one block of iid points and their labels
     points = iid_points(target, rng, n)
@@ -200,8 +189,11 @@ def adversary_round(adversary, target, learner_w, stream):
     adaptive adversary sees learner_w."""
     if adversary == "iid":
         return next(stream.iid)
+    if adversary not in ADVERSARIES:
+        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
+    _check_margin(target.gamma)
     rng = stream.rng
-    x = gen_margin_example(adversary, target, learner_w, rng)
+    x = _boundary_point(target, learner_w, rng)
     if adversary == "adaptive":
         # flip only where it can cause a mistake, staying under the eta cap
         clean = sign_of(float(target.w_star.dot(x)))
@@ -247,11 +239,6 @@ def gen_context(target, k, rng):
     return context_block(target, k, rng, 1)[0][0]
 
 
-def _ranks(target, context):
-    # (1, k) ascending-score rank of each column of one context
-    return (target.w_star @ context).argsort().argsort()[None]
-
-
 def sorted_rewards(target, ranks, rng):
     """(n, k) random rewards in [0, cap], each row ranked exactly like its
     (n, k) score ranks."""
@@ -259,43 +246,25 @@ def sorted_rewards(target, ranks, rng):
     return np.take_along_axis(values, ranks, axis=1)
 
 
-def sample_sorted_rewards(target, context, rng):
-    """Random rewards in [0, cap] ranked exactly like the w_star scores."""
-    return sorted_rewards(target, _ranks(target, context), rng)[0]
-
-
-def monotone_noise_cap(k, delta, reward_cap):
-    """Largest per-arm noise half-width that keeps rewards inside [0, cap]."""
-    return (reward_cap - delta * (k - 1)) / 2.0
-
-
-def monotone_rewards(target, ranks, noise_scale, rng):
-    """(n, k) rank-linear base rewards with margin delta plus bounded uniform
-    noise, for (n, k) ascending-score ranks.
+def monotone_rewards(target, ranks, rng):
+    """(n, k) rank-linear base rewards with margin delta plus uniform noise,
+    for (n, k) ascending-score ranks.
 
     Base reward for rank i (0-based) is cap/2 + delta*(i - (k-1)/2), so
-    adjacent ranks differ by exactly delta in expectation. noise_scale must
-    be small enough that no clipping is needed.
+    adjacent ranks differ by exactly delta in expectation. The noise
+    half-width is the widest that keeps rewards inside [0, cap]; where that
+    is 0 (delta*(k-1) = cap) nothing is drawn.
     """
     k = ranks.shape[1]
     delta = target.delta
     cap = target.reward_cap
-    if delta * (k - 1) > cap + 1e-12:
+    noise = (cap - delta * (k - 1)) / 2.0
+    if noise < 0:
         raise ConfigError(f"delta*(k-1) = {delta * (k - 1)} exceeds reward_cap {cap}")
-    max_noise = monotone_noise_cap(k, delta, cap)
-    if noise_scale < 0 or noise_scale > max_noise + 1e-12:
-        raise ConfigError(
-            f"noise_scale {noise_scale} would clip rewards; cap is {max_noise}"
-        )
     base = cap / 2.0 + delta * (ranks - (k - 1) / 2.0)
-    if noise_scale == 0:
+    if noise == 0:
         return base
-    return base + rng.uniform(-noise_scale, noise_scale, ranks.shape)
-
-
-def sample_monotone_rewards(target, context, noise_scale, rng):
-    """Rank-linear rewards of one context (see monotone_rewards)."""
-    return monotone_rewards(target, _ranks(target, context), noise_scale, rng)[0]
+    return base + rng.uniform(-noise, noise, ranks.shape)
 
 
 class _BlockEnvironment:
@@ -333,11 +302,10 @@ class MonotoneRewardEnvironment(_BlockEnvironment):
     def __init__(self, target, k):
         self.target = target
         self.k = k
-        self.noise_scale = monotone_noise_cap(k, target.delta, target.reward_cap)
 
     def _block(self, rng, n):
         contexts, ranks = context_block(self.target, self.k, rng, n)
-        return zip(contexts, monotone_rewards(self.target, ranks, self.noise_scale, rng))
+        return zip(contexts, monotone_rewards(self.target, ranks, rng))
 
     next_round = _BlockEnvironment.next_round
 
@@ -347,13 +315,6 @@ def _reduction_block(points, labels):
     y = np.array(labels, dtype=float)
     rewards = np.stack(((1.0 + y) / 2.0, (1.0 - y) / 2.0), axis=1)
     return np.stack((points, -points), axis=2), rewards
-
-
-def reduce_classification_to_bandit(x, y):
-    """2-arm view of a labeled point: (d, 2) context (x, -x), rewards
-    ((1+y)/2, (1-y)/2)."""
-    contexts, rewards = _reduction_block(np.asarray(x, dtype=float)[None], [y])
-    return contexts[0], rewards[0]
 
 
 class ReductionEnvironment(_BlockEnvironment):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from . import environments
-from .core import config_dict, spawn_streams
+from .core import ConfigError, config_dict, spawn_streams
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
 from .losses import sign_of
@@ -165,21 +165,19 @@ def run_halfspace_experiment(config, csv_path=None):
     }
 
 
-def run_bandit_experiment(config, csv_path=None, env_delta=None):
+def run_bandit_experiment(config, csv_path=None):
     """Drive the k-arm learner for T rounds; returns the run report.
 
     The environment's full reward vectors stay private to this driver; they
     feed the uniform-arm baseline and the greedy-arm reward accounting that
-    the 2-arm reduction identities refer to. env_delta overrides the
-    environment's reward margin (for misspecification experiments) without
-    touching the learner's schedule.
+    the 2-arm reduction identities refer to.
     """
     t_start = time.perf_counter()
     rng_env, rng_learner, rng_base = spawn_streams(config.seed, 3)
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng_env, config.d),
         gamma=config.gamma,
-        delta=config.delta if env_delta is None else env_delta,
+        delta=config.delta,
         reward_cap=config.reward_cap,
     )
     env = environments.make_bandit_environment(config.environment, target, config.k)
@@ -236,6 +234,8 @@ def run_bandit_experiment(config, csv_path=None, env_delta=None):
 
 def run_many(runner, config, seeds, out_dir=None):
     """Run one config across seeds (sorted, so aggregation is order-free)."""
+    if not seeds:
+        raise ConfigError("run_many needs at least one seed")
     per_seed = []
     for seed in sorted(seeds):
         cfg = dataclasses.replace(config, seed=seed)

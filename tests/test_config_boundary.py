@@ -1,9 +1,12 @@
 """Property test of the config boundary: any flat mapping of config values
-either raises ConfigError or runs to a finite, strict-JSON report."""
+either raises ConfigError or runs to a finite, strict-JSON report, whether it
+goes through the config reader or straight into the config class."""
 
 import json
 import math
+from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,9 @@ from massart_online.core import (
     ADVERSARIES,
     CONFIG_KEYS,
     ENVIRONMENTS,
+    BanditConfig,
     ConfigError,
+    HalfspaceConfig,
     bandit_config_from,
     halfspace_config_from,
 )
@@ -20,26 +25,30 @@ from massart_online.harness import report_json, run_bandit_experiment, run_halfs
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # JSON strings that float() or int() would parse
 NUMERIC_STRING = st.one_of(st.floats(allow_nan=False).map(repr), st.integers(-3, 64).map(str))
-# any double at all, booleans, and numeric strings
+# values no number field takes: JSON null, and an integer too large for a double
+NOT_A_FLOAT = st.sampled_from([None, 10**400])
+# any double at all, booleans, numeric strings, null and a huge integer
 ANY_FLOAT = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), NUMERIC_STRING
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), NUMERIC_STRING, NOT_A_FLOAT
 )
 
 
-def _integer_key(low, high):
-    # integers, floats with and without a fraction, booleans and numeric strings
+def _integer_key(low, high, *extra):
+    # integers, floats with and without a fraction, booleans, numeric strings
+    # and null
     return st.one_of(
-        st.integers(low, high), st.floats(low, high), st.booleans(), NON_FINITE, NUMERIC_STRING
+        st.integers(low, high), st.floats(low, high), st.booleans(), NON_FINITE, NUMERIC_STRING,
+        st.sampled_from((None,) + extra),
     )
 
 
 # d, k and t_horizon are capped so that no draw allocates a huge array or
-# runs more than 50 rounds
+# runs more than 50 rounds; a t_horizon of 10**400 overflows the schedule
 VALUES = {
     "d": _integer_key(-2, 64),
-    "t_horizon": _integer_key(-2, 50),
+    "t_horizon": _integer_key(-2, 50, 10**400),
     "k": _integer_key(-1, 64),
-    "seed": _integer_key(-3, 2**70),
+    "seed": _integer_key(-3, 2**70, 10**400),
     "eta": ANY_FLOAT,
     "gamma": ANY_FLOAT,
     "zeta": ANY_FLOAT,
@@ -50,6 +59,10 @@ VALUES = {
     "environment": st.sampled_from(ENVIRONMENTS + ("bogus",)),
 }
 assert set(VALUES) == set(CONFIG_KEYS)
+
+
+# the defaults the config readers give the required fields
+READ_DEFAULTS = {"d": 10, "k": 3, "eta": 0.1, "gamma": 0.2, "delta": 0.5}
 
 
 def _reject_constant(name):
@@ -67,13 +80,24 @@ def _reject_constant(name):
 def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
     mapping.setdefault("t_horizon", 50)
     if bandit:
-        build, run = bandit_config_from, run_bandit_experiment
+        cls, build, run = BanditConfig, bandit_config_from, run_bandit_experiment
     else:
-        build, run = halfspace_config_from, run_halfspace_experiment
+        cls, build, run = HalfspaceConfig, halfspace_config_from, run_halfspace_experiment
+    # the same values straight into the class, the fields the reader would
+    # default filled with the reader's defaults; the class alone decides
+    init = {f.name for f in fields(cls) if f.init}
+    kw = {name: value for name, value in {**READ_DEFAULTS, **mapping}.items() if name in init}
     try:
-        report = run(build(mapping))
+        direct = cls(**kw)
     except ConfigError:
+        direct = None
+    try:
+        config = build(mapping)
+    except ConfigError:
+        assert direct is None
         return
+    assert direct == config
+    report = run(config)
     text = report_json(report)
     json.loads(text, parse_constant=_reject_constant)
     # a key that was read was a JSON number, and an integer key was taken
@@ -84,3 +108,43 @@ def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
     for key in ("d", "t_horizon", "k", "seed"):
         if key in mapping and key in report["config"]:
             assert mapping[key] == report["config"][key]
+
+
+HALFSPACE = dict(d=2, t_horizon=10, eta=0.1, gamma=0.2)
+BANDIT = dict(d=2, k=3, t_horizon=10, gamma=0.2, delta=0.5)
+
+
+@pytest.mark.parametrize(
+    "cls,base,override",
+    [
+        (HalfspaceConfig, HALFSPACE, dict(d=2.5)),
+        (HalfspaceConfig, HALFSPACE, dict(seed=1.5)),
+        (HalfspaceConfig, HALFSPACE, dict(eta="0.1")),
+        (HalfspaceConfig, HALFSPACE, dict(t_horizon=10**400)),
+        (HalfspaceConfig, HALFSPACE, dict(eta=None)),
+        (HalfspaceConfig, HALFSPACE, dict(eta=10**400)),
+        (HalfspaceConfig, HALFSPACE, dict(d=True)),
+        (BanditConfig, BANDIT, dict(k=2.5)),
+        (BanditConfig, BANDIT, dict(delta="0.5")),
+        (BanditConfig, BANDIT, dict(seed=None)),
+    ],
+    ids=["d_fraction", "seed_fraction", "eta_string", "t_horizon_huge", "eta_none",
+         "eta_huge", "d_bool", "k_fraction", "delta_string", "seed_none"],
+)
+def test_config_class_rejects_bad_value(cls, base, override):
+    with pytest.raises(ConfigError):
+        cls(**dict(base, **override))
+
+
+def test_config_class_casts_integral_numbers():
+    # an integral float in an int field runs as that int, and a number in a
+    # float field is reported as a float
+    config = BanditConfig(**dict(BANDIT, k=2.0, d=3.0, gamma=1, delta=1, reward_cap=2))
+    assert (config.k, config.d, config.gamma) == (2, 3, 1.0)
+    assert type(config.k) is int and type(config.gamma) is float
+    report = run_bandit_experiment(config)
+    assert report["config"]["k"] == 2 and report["config"]["delta"] == 1.0
+    halfspace = HalfspaceConfig(**dict(HALFSPACE, eta=0, seed=4.0))
+    echoed = json.loads(report_json(run_halfspace_experiment(halfspace)))["config"]
+    assert echoed["eta"] == 0.0 and type(echoed["eta"]) is float
+    assert type(halfspace.eta) is float and type(halfspace.seed) is int

@@ -14,14 +14,12 @@ from massart_online.environments import (
     adversary_round,
     context_block,
     gen_context,
-    gen_margin_example,
     iid_points,
     massart_label,
     massart_labels,
-    monotone_noise_cap,
+    monotone_rewards,
     random_unit,
-    sample_monotone_rewards,
-    sample_sorted_rewards,
+    sorted_rewards,
 )
 from massart_online.losses import sign_of
 
@@ -29,6 +27,17 @@ from massart_online.losses import sign_of
 def _target(d=2, rng=None, **kw):
     rng = rng or seeded_rng(0)
     return HiddenTarget(w_star=random_unit(rng, d), **kw)
+
+
+def _boundary_points(target, learner_w, rng, n):
+    # n points of the boundary adversary, drawn as a run draws them
+    stream = MarginStream(target, rng)
+    return [adversary_round("boundary", target, learner_w, stream).x for _ in range(n)]
+
+
+def _score_ranks(target, ctx, n=1):
+    # (n, k) copies of the ascending-score rank of each column of ctx
+    return np.tile((target.w_star @ ctx).argsort().argsort(), (n, 1))
 
 
 def test_hidden_target_requires_unit_vector():
@@ -40,8 +49,6 @@ def test_unknown_adversary_raises_config_error():
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
     for name in ("bogus", "iid_uniform_margin", ""):
         with pytest.raises(ConfigError):
-            gen_margin_example(name, target, None, seeded_rng(0))
-        with pytest.raises(ConfigError):
             stream = MarginStream(target, seeded_rng(0))
             adversary_round(name, target, np.array([0.0, 1.0]), stream)
 
@@ -49,8 +56,7 @@ def test_unknown_adversary_raises_config_error():
 def test_iid_points_respect_ball_and_margin():
     rng = seeded_rng(1)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
-    for _ in range(500):
-        x = gen_margin_example("iid", target, None, rng)
+    for x in iid_points(target, rng, 500):
         assert np.linalg.norm(x) <= 1.0 + 1e-12
         assert abs(x[0]) >= 0.5 - 1e-12
 
@@ -60,8 +66,7 @@ def test_boundary_point_with_orthogonal_learner():
     rng = seeded_rng(2)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
     learner_w = np.array([0.0, 1.0])
-    for _ in range(200):
-        x = gen_margin_example("boundary", target, learner_w, rng)
+    for x in _boundary_points(target, learner_w, rng, 200):
         assert abs(x[0]) >= 0.5 - 1e-12
         assert abs(float(learner_w @ x)) <= 1e-12
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -73,8 +78,7 @@ def test_boundary_point_with_aligned_learner():
     rng = seeded_rng(3)
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
     learner_w = np.array([1.0, 0.0])
-    for _ in range(200):
-        x = gen_margin_example("boundary", target, learner_w, rng)
+    for x in _boundary_points(target, learner_w, rng, 200):
         assert abs(x[0]) >= 0.5 - 1e-12
         assert np.linalg.norm(x) <= 1.0 + 1e-12
 
@@ -84,8 +88,7 @@ def test_boundary_hugging_minimizes_learner_margin_in_high_dim():
     d = 8
     target = _target(d=d, rng=rng, gamma=0.3)
     learner_w = random_unit(rng, d) * 0.7
-    for _ in range(200):
-        x = gen_margin_example("boundary", target, learner_w, rng)
+    for x in _boundary_points(target, learner_w, rng, 200):
         assert abs(float(target.w_star @ x)) >= 0.3 - 1e-12
         assert abs(float(learner_w @ x)) <= 1e-10
         assert np.linalg.norm(x) <= 1.0 + 1e-12
@@ -94,8 +97,7 @@ def test_boundary_hugging_minimizes_learner_margin_in_high_dim():
 def test_extreme_margin_only_target_points():
     rng = seeded_rng(5)
     target = HiddenTarget(w_star=np.array([0.0, 1.0]), gamma=1.0)
-    for _ in range(50):
-        x = gen_margin_example("iid", target, None, rng)
+    for x in iid_points(target, rng, 50):
         assert abs(abs(float(target.w_star @ x)) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
@@ -103,7 +105,10 @@ def test_extreme_margin_only_target_points():
 def test_infeasible_margin_rejected():
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=1.5)
     with pytest.raises(ConfigError):
-        gen_margin_example("iid", target, None, seeded_rng(0))
+        iid_points(target, seeded_rng(0), 1)
+    for name in ("iid", "boundary", "adaptive"):
+        with pytest.raises(ConfigError):
+            adversary_round(name, target, np.array([0.0, 1.0]), MarginStream(target, seeded_rng(0)))
 
 
 def test_massart_label_noiseless():
@@ -224,9 +229,8 @@ def test_gen_context_infeasible_geometry():
 def test_sorted_rewards_respect_ranking():
     rng = seeded_rng(14)
     target = _target(d=4, rng=rng, gamma=0.2, reward_cap=2.0)
-    for _ in range(200):
-        ctx = gen_context(target, 4, rng)
-        r = sample_sorted_rewards(target, ctx, rng)
+    contexts, ranks = context_block(target, 4, rng, 200)
+    for ctx, r in zip(contexts, sorted_rewards(target, ranks, rng)):
         scores = target.w_star @ ctx
         assert np.all((r >= 0) & (r <= 2.0))
         for i in range(4):
@@ -249,7 +253,8 @@ def test_sorted_predicate_violated_by_swap():
     rng = seeded_rng(15)
     target = _target(d=3, rng=rng, gamma=0.3)
     ctx = gen_context(target, 3, rng)
-    r = sample_monotone_rewards(_target(d=3, rng=seeded_rng(15), gamma=0.3, delta=0.3), ctx, 0.0, rng)
+    monotone = _target(d=3, rng=seeded_rng(15), gamma=0.3, delta=0.3)
+    r = monotone_rewards(monotone, _score_ranks(target, ctx), rng)[0]
     scores = target.w_star @ ctx
     order = np.argsort(scores)
     swapped = r.copy()
@@ -264,44 +269,65 @@ def test_sorted_predicate_violated_by_swap():
 
 
 def test_monotone_rewards_noiseless_two_arms():
+    # delta*(k-1) = cap leaves no room for noise: the exact base rewards
     rng = seeded_rng(16)
-    target = _target(d=2, rng=rng, gamma=0.4, delta=0.5, reward_cap=1.0)
+    target = _target(d=2, rng=rng, gamma=0.4, delta=0.5, reward_cap=0.5)
     ctx = gen_context(target, 2, rng)
-    r = sample_monotone_rewards(target, ctx, 0.0, rng)
+    r = monotone_rewards(target, _score_ranks(target, ctx), rng)[0]
     scores = target.w_star @ ctx
     hi, lo = (0, 1) if scores[0] > scores[1] else (1, 0)
-    assert r[hi] == pytest.approx(0.75)
-    assert r[lo] == pytest.approx(0.25)
+    assert r[hi] == 0.5
+    assert r[lo] == 0.0
+
+
+@pytest.mark.parametrize("k,delta,cap", [(3, 0.5, 1.0), (5, 0.25, 1.0), (4, 0.25, 0.75)])
+def test_monotone_rewards_zero_width_exact_base_draws_nothing(k, delta, cap):
+    # the monotone_k shape of c07 and of the golden run is (3, 0.5, 1.0)
+    target = _target(d=4, rng=seeded_rng(23), gamma=0.2, delta=delta, reward_cap=cap)
+    ranks = seeded_rng(24).permuted(np.tile(np.arange(k), (50, 1)), axis=1)
+    rng = seeded_rng(25)
+    state = rng.bit_generator.state
+    r = monotone_rewards(target, ranks, rng)
+    assert rng.bit_generator.state == state
+    assert r.tobytes() == (cap / 2.0 + delta * (ranks - (k - 1) / 2.0)).tobytes()
 
 
 def test_monotone_rewards_infeasible_margin():
     rng = seeded_rng(17)
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.6, reward_cap=1.0)
-    ctx = gen_context(target, 3, rng)
     with pytest.raises(ConfigError):
-        sample_monotone_rewards(target, ctx, 0.0, rng)  # 0.6 * 2 > 1
+        MonotoneRewardEnvironment(target, 3).next_round(rng)  # 0.6 * 2 > 1
+
+
+def test_monotone_rewards_margin_just_past_the_cap_rejected():
+    # delta*(k-1) exceeds cap by less than 1e-12: no noise width fits
+    target = _target(d=3, rng=seeded_rng(26), gamma=0.2, delta=0.5 + 2.5e-13, reward_cap=1.0)
+    assert 1.0 < target.delta * 2 <= 1.0 + 1e-12
+    with pytest.raises(ConfigError):
+        monotone_rewards(target, np.tile(np.arange(3), (4, 1)), seeded_rng(27))
 
 
 def test_monotone_rewards_noise_would_clip():
+    # the noise is the widest that stays inside [0, cap]: the draws reach
+    # both ends of the range and never pass them
     rng = seeded_rng(18)
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.3, reward_cap=1.0)
-    ctx = gen_context(target, 3, rng)
-    cap = monotone_noise_cap(3, 0.3, 1.0)
-    with pytest.raises(ConfigError):
-        sample_monotone_rewards(target, ctx, cap + 0.01, rng)
-    r = sample_monotone_rewards(target, ctx, cap, rng)
-    assert np.all((r >= -1e-12) & (r <= 1.0 + 1e-12))
+    r = monotone_rewards(target, np.tile(np.arange(3), (5000, 1)), rng)
+    assert r.min() >= 0.0 and r.max() <= 1.0
+    assert r.min() <= 0.01 and r.max() >= 0.99
+    assert np.abs(r - (0.5 + 0.3 * (np.arange(3) - 1.0))).max() <= 0.2
 
 
 def test_monotone_margin_monte_carlo():
     # empirical conditional mean gap >= delta - 3 sigma for every ordered pair
     rng = seeded_rng(19)
-    k, delta, cap, noise = 3, 0.3, 2.0, 0.5
+    k, delta, cap = 3, 0.3, 2.0
+    noise = (cap - delta * (k - 1)) / 2.0
     target = _target(d=4, rng=rng, gamma=0.25, delta=delta, reward_cap=cap)
     ctx = gen_context(target, k, rng)
     scores = target.w_star @ ctx
     n = 100_000
-    draws = np.array([sample_monotone_rewards(target, ctx, noise, rng) for _ in range(n)])
+    draws = monotone_rewards(target, _score_ranks(target, ctx, n), rng)
     sigma_pair = math.sqrt(2 * noise**2 / 3.0) / math.sqrt(n)
     for i in range(k):
         for j in range(k):
@@ -445,7 +471,7 @@ def test_block_environment_rewards_ranked_like_scores(name, k, delta):
     cap = 1.0
     target = _target(d=5, rng=rng, gamma=0.2, delta=delta, reward_cap=cap)
     env = (SortedRewardEnvironment if name == "sorted_k" else MonotoneRewardEnvironment)(target, k)
-    noise = monotone_noise_cap(k, delta, cap)
+    noise = (cap - delta * (k - 1)) / 2.0
     base = cap / 2.0 + delta * (np.arange(k) - (k - 1) / 2.0)
     for _ in range(BLOCK + 100):
         ctx, r = env.next_round(rng)

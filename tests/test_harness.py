@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from massart_online import cli, environments, harness
 from massart_online.core import (
     BanditConfig,
+    ConfigError,
     HalfspaceConfig,
     LabeledRound,
     seeded_rng,
@@ -231,10 +233,9 @@ def test_perceptron_noiseless_margin_mistake_bound():
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng, 5), eta=0.0, gamma=gamma
     )
-    stream = []
-    for _ in range(5000):
-        x = environments.gen_margin_example("iid", target, None, rng)
-        stream.append(LabeledRound(x, environments.massart_label(target, x, 0.0, rng)))
+    points = environments.iid_points(target, rng, 5000)
+    labels = environments.massart_labels(target, points, rng)
+    stream = [LabeledRound(x, y) for x, y in zip(points, labels)]
     assert perceptron_baseline(stream) <= 1.0 / gamma**2
 
 
@@ -327,12 +328,18 @@ def test_sorted_environment_end_to_end():
     assert report["baselines"]["uniform_arm_mean"] > 0
 
 
-def test_zero_margin_environment_no_exploitable_signal():
+def test_zero_margin_environment_no_exploitable_signal(monkeypatch):
     # environment margin forced to 0 while the learner keeps its configured
     # schedule: the reward gap vs the uniform baseline is pure noise
+    make = environments.make_bandit_environment
+    monkeypatch.setattr(
+        environments,
+        "make_bandit_environment",
+        lambda name, target, k: make(name, dataclasses.replace(target, delta=0.0), k),
+    )
     t_horizon = 20_000
     cfg = _bandit_config(d=4, t_horizon=t_horizon)
-    report = run_bandit_experiment(cfg, env_delta=0.0)
+    report = run_bandit_experiment(cfg)
     gap = report["bound_check"]["played_gap_vs_uniform"]
     # per-round variance of r_played - mean(r) for k iid uniform rewards
     k, cap = cfg.k, cfg.reward_cap
@@ -539,6 +546,40 @@ def test_cli_non_number_config_file_value_exit_two(command, text, message, tmp_p
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_file_exit_two(case, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    if case == "directory":
+        cfg_path.mkdir()
+    elif case == "not_utf8":
+        cfg_path.write_bytes(b'{"d": "\xff\xfe"}')
+    assert cli.main(["simulate-halfspace", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read config file" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_verify_negative_seed_exit_two(capsys):
+    assert cli.main(["verify", "--quick", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_out_naming_a_file_exit_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    argv = ["simulate-halfspace", "--t-horizon", "20", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "cannot use --out" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
+def test_run_many_without_seeds_is_a_config_error():
+    with pytest.raises(ConfigError):
+        run_many(run_halfspace_experiment, _halfspace_config(t_horizon=10), [])
 
 
 def test_cli_unknown_config_key_exit_two(tmp_path):

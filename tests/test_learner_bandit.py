@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from massart_online.core import BanditConfig, seeded_rng
-from massart_online.environments import reduce_classification_to_bandit
+from massart_online.environments import (
+    BLOCK,
+    HiddenTarget,
+    ReductionEnvironment,
+    iid_points,
+    massart_labels,
+    random_unit,
+)
 from massart_online.learner_bandit import BanditLearner, fake_rewards, select_action
 from massart_online.oracles import (
     check_argmax_scale_invariance,
@@ -94,13 +101,23 @@ def test_debiasing_enumeration_oracle():
 
 
 def test_reduce_classification_examples():
-    ctx, rewards = reduce_classification_to_bandit(np.array([0.3, -0.1]), 1)
-    assert rewards == pytest.approx(np.array([1.0, 0.0]))
-    assert ctx == pytest.approx(np.column_stack(([0.3, -0.1], [-0.3, 0.1])))
-    _, rewards_neg = reduce_classification_to_bandit(np.array([0.3, -0.1]), -1)
-    assert rewards_neg == pytest.approx(np.array([0.0, 1.0]))
-    ctx_zero, _ = reduce_classification_to_bandit(np.zeros(2), 1)
-    assert ctx_zero == pytest.approx(np.zeros((2, 2)))
+    # each round of the 2-arm reduction is a labeled iid point (x, y) of the
+    # halfspace stream: context (x, -x) byte for byte, rewards ((1+y)/2, (1-y)/2)
+    target = HiddenTarget(w_star=random_unit(seeded_rng(50), 4), gamma=0.2, delta=0.8)
+    env = ReductionEnvironment(target)
+    rng_env, rng_ref = seeded_rng(51), seeded_rng(51)
+    points, labels = [], []
+    for _ in range(2):  # two blocks, so the second block is checked too
+        block = iid_points(env.point_target, rng_ref, BLOCK)
+        points.extend(block)
+        labels.extend(massart_labels(env.point_target, block, rng_ref))
+    assert set(labels) == {-1, 1}
+    for x, y in zip(points, labels):
+        ctx, rewards = env.next_round(rng_env)
+        assert ctx.shape == (4, 2)
+        assert ctx[:, 0].tobytes() == x.tobytes()
+        assert ctx[:, 1].tobytes() == (-x).tobytes()
+        assert rewards.tolist() == ([1.0, 0.0] if y == 1 else [0.0, 1.0])
 
 
 def test_q_zero_regime_never_moves():
