@@ -5,7 +5,6 @@ from .core import (
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
-    LabeledRound,
     derive_bandit_params,
     derive_halfspace_params,
     seeded_rng,
@@ -27,7 +26,6 @@ __all__ = [
     "EnvironmentViolation",
     "HalfspaceConfig",
     "HalfspaceLearner",
-    "LabeledRound",
     "derive_bandit_params",
     "derive_halfspace_params",
     "run_bandit_experiment",

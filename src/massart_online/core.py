@@ -1,15 +1,15 @@
-"""Shared domain types, experiment configuration, and the deterministic RNG contract.
+"""Experiment configuration and the deterministic RNG contract.
 
-Vectors (weights, points, rewards) are plain numpy arrays; arm indices are
-0-based everywhere. The config dataclasses cast and check every value on every
-path, are immutable after construction and carry all derived schedule
-parameters, so a config plus a seed fully determines an experiment transcript.
+Vectors (weights, points, rewards) are plain numpy arrays, a halfspace round
+is an (x, y) tuple and arm indices are 0-based everywhere. The config
+dataclasses cast and check every value on every path, are immutable after
+construction and carry all derived schedule parameters, so a config plus a
+seed fully determines an experiment transcript.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,14 @@ EPSILON_CLAMP_MARGIN = 1e-6
 # range: runs and reports sum them over T rounds, square them and invert
 # them, which overflows or underflows doubles well before 1e+-308.
 FLOAT_MAGNITUDE = (1e-100, 1e100)
+
+# rounds per block of an oblivious stream
+BLOCK = 256
+
+# one block array holds BLOCK * d * k doubles (k = 1 for a halfspace run); 2**24
+# of them (128 MiB) is far above the shapes in use (d = 20, k <= 12: 61440) and
+# makes a huge d or k a config error, not a failed allocation at round 1
+MAX_BLOCK_DOUBLES = 2**24
 
 ADVERSARIES = ("iid", "boundary", "adaptive")
 ENVIRONMENTS = ("massart2", "sorted_k", "monotone_k", "reduction2")
@@ -40,13 +48,6 @@ def seeded_rng(seed):
 def spawn_streams(seed, n):
     """n independent child streams, deterministic in (seed, n)."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-class LabeledRound(NamedTuple):
-    """One adversary round: point x in the unit ball with binary label y."""
-
-    x: np.ndarray
-    y: int
 
 
 def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
@@ -119,6 +120,22 @@ def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon, domain_radius=1
     }
 
 
+def check_score_range(k, gamma):
+    """k arm scores with pairwise gaps >= gamma fit in [-1, 1] only if
+    (k-1)*gamma <= 2, which at k = 2 is reduction2's point margin gamma/2 <= 1."""
+    if (k - 1) * gamma > 2.0:
+        raise ConfigError(f"(k-1)*gamma = {(k - 1) * gamma} exceeds the score range 2")
+
+
+def monotone_noise(delta, k, reward_cap):
+    """Half-width of monotone_k's uniform reward noise: the widest that keeps
+    rank-linear rewards with margin delta inside [0, reward_cap]."""
+    noise = (reward_cap - delta * (k - 1)) / 2.0
+    if noise < 0:
+        raise ConfigError(f"delta*(k-1) = {delta * (k - 1)} exceeds reward_cap {reward_cap}")
+    return noise
+
+
 def _check_numbers(config):
     """Every float field set so far, given or derived, is finite and 0 or
     inside FLOAT_MAGNITUDE; the seed is nonnegative."""
@@ -152,14 +169,16 @@ def _cast(name, kind, value):
 
 def _settle(config, derive, *names):
     """Cast each int / float init field of config by its annotation, check the
-    numbers and d, then set the schedule derive(*values of names) returns and
-    check the numbers again; every failure is a ConfigError."""
+    numbers, d and the block size, then set the schedule derive(*values of
+    names) returns and check the numbers again; every failure is a ConfigError."""
     for f in fields(config):
         if f.init and f.type in (int, float):
             object.__setattr__(config, f.name, _cast(f.name, f.type, getattr(config, f.name)))
     _check_numbers(config)
     if config.d < 1:
         raise ConfigError(f"d must be at least 1, got {config.d}")
+    if BLOCK * config.d * getattr(config, "k", 1) > MAX_BLOCK_DOUBLES:
+        raise ConfigError(f"d * k exceeds {MAX_BLOCK_DOUBLES // BLOCK}, the most one block holds")
     try:
         derived = derive(*(getattr(config, name) for name in names))
     except ConfigError:
@@ -225,6 +244,9 @@ class BanditConfig:
             self, derive_bandit_params,
             "gamma", "delta", "reward_cap", "k", "t_horizon", "domain_radius",
         )
+        check_score_range(self.k, self.gamma)
+        if self.environment == "monotone_k":
+            monotone_noise(self.delta, self.k, self.reward_cap)
         if self.environment == "reduction2":
             if self.k != 2:
                 raise ConfigError("reduction2 is a 2-arm environment, set k=2")

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ADVERSARIES, ConfigError, LabeledRound
+from .core import ADVERSARIES, BLOCK, ConfigError, check_score_range, monotone_noise
 from .losses import sign_of
 from .optimizer import norm
-
-# rounds per block of an oblivious stream
-BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -179,14 +176,12 @@ class MarginStream:
 
     def __init__(self, target, rng):
         self.rng = rng
-        self.iid = block_rows(
-            lambda rng, n: map(LabeledRound, *_labeled_iid(target, rng, n)), rng
-        )
+        self.iid = block_rows(lambda rng, n: zip(*_labeled_iid(target, rng, n)), rng)
 
 
 def adversary_round(adversary, target, learner_w, stream):
-    """Point plus label for one round from the run's MarginStream; the
-    adaptive adversary sees learner_w."""
+    """One round's (x, y), point plus label, from the run's MarginStream;
+    the adaptive adversary sees learner_w."""
     if adversary == "iid":
         return next(stream.iid)
     if adversary not in ADVERSARIES:
@@ -199,8 +194,8 @@ def adversary_round(adversary, target, learner_w, stream):
         clean = sign_of(float(target.w_star.dot(x)))
         pred = sign_of(float(learner_w.dot(x))) if learner_w is not None else 1
         eta_t = target.eta if pred == clean else 0.0
-        return LabeledRound(x, massart_label(target, x, eta_t, rng))
-    return LabeledRound(x, massart_label(target, x, target.eta, rng))
+        return x, massart_label(target, x, eta_t, rng)
+    return x, massart_label(target, x, target.eta, rng)
 
 
 def context_block(target, k, rng, n):
@@ -210,8 +205,7 @@ def context_block(target, k, rng, n):
     gamma = target.gamma
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
-    if (k - 1) * gamma > 2.0 + 1e-12:
-        raise ConfigError(f"(k-1)*gamma = {(k - 1) * gamma} exceeds the score range 2")
+    check_score_range(k, gamma)
     w_star = target.w_star
     d = w_star.shape[0]
     slack = max(0.0, 2.0 / (k - 1) - gamma)
@@ -258,9 +252,7 @@ def monotone_rewards(target, ranks, rng):
     k = ranks.shape[1]
     delta = target.delta
     cap = target.reward_cap
-    noise = (cap - delta * (k - 1)) / 2.0
-    if noise < 0:
-        raise ConfigError(f"delta*(k-1) = {delta * (k - 1)} exceeds reward_cap {cap}")
+    noise = monotone_noise(delta, k, cap)
     base = cap / 2.0 + delta * (ranks - (k - 1) / 2.0)
     if noise == 0:
         return base
@@ -331,8 +323,6 @@ class ReductionEnvironment(_BlockEnvironment):
             w_star=target.w_star,
             eta=self.eta,
             gamma=target.gamma / 2.0,
-            delta=target.delta,
-            reward_cap=target.reward_cap,
         )
 
     def _block(self, rng, n):
@@ -347,7 +337,5 @@ def make_bandit_environment(name, target, k):
     if name == "monotone_k":
         return MonotoneRewardEnvironment(target, k)
     if name == "reduction2":
-        if k != 2:
-            raise ConfigError("reduction2 is a 2-arm environment")
         return ReductionEnvironment(target)
     raise ConfigError(f"unknown bandit environment {name!r}")

@@ -66,12 +66,12 @@ class _Perceptron:
 
 
 def perceptron_baseline(stream):
-    """Mistakes of the classic perceptron on an iterable of LabeledRound."""
+    """Mistakes of the classic perceptron on an iterable of (x, y) rounds."""
     model = None
-    for item in stream:
+    for x, y in stream:
         if model is None:
-            model = _Perceptron(item.x.shape[0])
-        model.observe(item.x, item.y)
+            model = _Perceptron(x.shape[0])
+        model.observe(x, y)
     return model.mistakes if model is not None else 0
 
 
@@ -124,13 +124,11 @@ def run_halfspace_experiment(config, csv_path=None):
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
-            round_ = environments.adversary_round(config.adversary, target, learner.w, stream)
-            x, y = round_.x, round_.y
+            x, y = environments.adversary_round(config.adversary, target, learner.w, stream)
             _audit_point(x, target.w_star, config.gamma)
             if y not in (-1, 1):
                 raise EnvironmentViolation(f"label {y} outside {{-1, +1}}")
-            score = float(learner.w.dot(x))
-            evaluated = learner.observe(x, y)
+            score, evaluated = learner.observe(x, y)
             guess = 1 if next(heads) else -1
             if guess != y:
                 random_mistakes += 1
@@ -144,7 +142,6 @@ def run_halfspace_experiment(config, csv_path=None):
         sink.close()
     t_total = config.t_horizon
     mistakes = learner.mistakes
-    excess_term = t_total**0.75 / config.gamma
     return {
         "kind": "halfspace",
         "config": config_dict(config),
@@ -157,7 +154,7 @@ def run_halfspace_experiment(config, csv_path=None):
         },
         "bound_check": {
             "eta_T": config.eta * t_total,
-            "excess_term": excess_term,
+            "excess_term": t_total**0.75 / config.gamma,
             "normalized_excess": (mistakes - config.eta * t_total) * config.gamma / t_total**0.75,
         },
         "clamp_flags": {"epsilon_clamped": config.epsilon_clamped},
@@ -254,7 +251,7 @@ def run_many(runner, config, seeds, out_dir=None):
 
 def report_digest(report):
     """sha256 of the canonical report JSON with wall-time fields removed."""
-    return hashlib.sha256(report_json(report, drop_wall_time=True).encode()).hexdigest()
+    return hashlib.sha256(report_json(_strip_wall_time(report)).encode()).hexdigest()
 
 
 def _strip_wall_time(obj):
@@ -265,10 +262,8 @@ def _strip_wall_time(obj):
     return obj
 
 
-def report_json(report, drop_wall_time=False):
+def report_json(report):
     """Canonical report JSON; a non-finite number raises ValueError."""
-    if drop_wall_time:
-        report = _strip_wall_time(report)
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -22,17 +22,17 @@ class HalfspaceLearner:
         return sign_of(float(self.w.dot(x)))
 
     def observe(self, x, y):
-        """Counts the mistake, then updates on the reweighted loss at the
-        current iterate (which also serves as the loss's reference vector).
-        Returns the round's LossEval for logging."""
+        """Counts the mistake of sign_of(w . x), then updates on the
+        reweighted loss at the current iterate, which is also the loss's
+        reference vector, so the one score w . x serves all three. Returns
+        that score, taken before the update, and the round's LossEval."""
         config = self.config
         if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
-        if self.predict(x) != y:
+        score = float(self.w.dot(x))
+        if sign_of(score) != y:
             self.mistakes += 1
-        evaluated = reweighted_margin_loss(
-            self.w, x, y, self.w, config.tau, config.delta_tilde
-        )
+        evaluated = reweighted_margin_loss(score, score, x, y, config.tau, config.delta_tilde)
         self.w = ogd_update(self.w, evaluated.subgrad, config.step_size, config.domain_radius)
         self.round += 1
-        return evaluated
+        return score, evaluated

@@ -53,17 +53,17 @@ def leaky_margin_subgrad(delta, t, y):
     return 0.5 * (delta * s - y)
 
 
-def reweighted_margin_loss(w, x, y, w_ref, tau, delta_tilde):
-    """Per-round loss: leaky margin loss at w.x divided by max(|w_ref.x|, tau).
+def reweighted_margin_loss(t, t_ref, x, y, tau, delta_tilde):
+    """Per-round loss of w on the point x, from its scores t = w.x and
+    t_ref = w_ref.x: the leaky margin loss at t divided by max(|t_ref|, tau).
 
     w_ref is the current iterate and is treated as a constant, so the
-    denominator carries no gradient. The subgradient norm is at most
-    (delta_tilde+1)/(2*tau) times ||x||.
+    denominator carries no gradient; the subgradient in w is a multiple of x,
+    with norm at most (delta_tilde+1)/(2*tau) times ||x||.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    denom = max(abs(float(np.dot(w_ref, x))), tau)
-    t = float(np.dot(w, x))
+    denom = max(abs(t_ref), tau)
     coef = leaky_margin_subgrad(delta_tilde, t, y) / denom
     return LossEval(leaky_margin_loss(delta_tilde, t, y) / denom, coef * x)
 

@@ -126,8 +126,9 @@ def check_subgradient_inequality(seed=2, n=10_000, tol=1e-9):
         d, x, y, w_ref, tau, delta_tilde = _reweighted_instance(rng)
         w = sample_ball(rng, d)
         u = sample_ball(rng, d)
-        fw = reweighted_margin_loss(w, x, y, w_ref, tau, delta_tilde)
-        fu = reweighted_margin_loss(u, x, y, w_ref, tau, delta_tilde)
+        t_ref = float(w_ref @ x)
+        fw = reweighted_margin_loss(float(w @ x), t_ref, x, y, tau, delta_tilde)
+        fu = reweighted_margin_loss(float(u @ x), t_ref, x, y, tau, delta_tilde)
         worst = max(worst, fw.value + float(fw.subgrad @ (u - w)) - fu.value)
         v_mode = "zero" if i % 2 == 0 else "any"
         kw, _ = _random_gap_params(rng, v_mode)
@@ -149,10 +150,11 @@ def check_midpoint_convexity(seed=3, n=10_000, tol=1e-9):
         d, x, y, w_ref, tau, delta_tilde = _reweighted_instance(rng)
         w = sample_ball(rng, d)
         u = sample_ball(rng, d)
-        mid = reweighted_margin_loss((w + u) / 2.0, x, y, w_ref, tau, delta_tilde).value
+        t_ref = float(w_ref @ x)
+        mid = reweighted_margin_loss(float((w + u) / 2.0 @ x), t_ref, x, y, tau, delta_tilde).value
         avg = (
-            reweighted_margin_loss(w, x, y, w_ref, tau, delta_tilde).value
-            + reweighted_margin_loss(u, x, y, w_ref, tau, delta_tilde).value
+            reweighted_margin_loss(float(w @ x), t_ref, x, y, tau, delta_tilde).value
+            + reweighted_margin_loss(float(u @ x), t_ref, x, y, tau, delta_tilde).value
         ) / 2.0
         worst = max(worst, mid - avg)
         v_mode = "zero" if i % 2 == 0 else "any"
@@ -249,7 +251,7 @@ def check_reweighted_subgrad_norm(seed=7, n=10_000, tol=1e-12):
     for _ in range(n):
         d, x, y, w_ref, tau, delta_tilde = _reweighted_instance(rng)
         w = sample_ball(rng, d)
-        evaluated = reweighted_margin_loss(w, x, y, w_ref, tau, delta_tilde)
+        evaluated = reweighted_margin_loss(float(w @ x), float(w_ref @ x), x, y, tau, delta_tilde)
         bound = (delta_tilde + 1.0) / (2.0 * tau) * float(np.linalg.norm(x))
         worst = max(worst, float(np.linalg.norm(evaluated.subgrad)) - bound)
     return _result(
@@ -260,7 +262,7 @@ def check_reweighted_subgrad_norm(seed=7, n=10_000, tol=1e-12):
 def check_tau_guard():
     """Nonpositive tau must be rejected."""
     try:
-        reweighted_margin_loss(np.ones(2), np.ones(2), 1, np.ones(2), 0.0, 0.4)
+        reweighted_margin_loss(1.0, 1.0, np.ones(2), 1, 0.0, 0.4)
     except ValueError:
         return _result("tau_guard", True, "tau=0 rejected with ValueError")
     return _result("tau_guard", False, "tau=0 was accepted")
@@ -386,12 +388,7 @@ def check_exploration_frequency(seed=11, n_rounds=10_000):
     """Empirical HEADS rate within 3 sigma of q."""
     rng = seeded_rng(seed)
     config = BanditConfig(d=4, k=3, t_horizon=n_rounds, gamma=0.2, delta=0.5, reward_cap=1.0)
-    target = HiddenTarget(
-        w_star=random_unit(rng, config.d),
-        gamma=config.gamma,
-        delta=config.delta,
-        reward_cap=config.reward_cap,
-    )
+    target = HiddenTarget(w_star=random_unit(rng, config.d), gamma=config.gamma)
     learner = BanditLearner(config, seeded_rng(seed + 1))
     explored = 0
     for _ in range(n_rounds):

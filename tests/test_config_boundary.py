@@ -7,13 +7,15 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from massart_online.core import (
     ADVERSARIES,
     CONFIG_KEYS,
     ENVIRONMENTS,
+    BLOCK,
+    MAX_BLOCK_DOUBLES,
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
@@ -21,6 +23,10 @@ from massart_online.core import (
     halfspace_config_from,
 )
 from massart_online.harness import report_json, run_bandit_experiment, run_halfspace_experiment
+
+# d and k values past the block bound: each must fail when the config is built
+PAST_THE_BOUND = (10**9, 2**70, 10**400)
+assert min(PAST_THE_BOUND) * BLOCK > MAX_BLOCK_DOUBLES
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # JSON strings that float() or int() would parse
@@ -42,12 +48,13 @@ def _integer_key(low, high, *extra):
     )
 
 
-# d, k and t_horizon are capped so that no draw allocates a huge array or
-# runs more than 50 rounds; a t_horizon of 10**400 overflows the schedule
+# a d or k that builds is at most 64 and t_horizon at most 50, so that no draw
+# allocates a huge array or runs more than 50 rounds; d and k past the block
+# bound must be rejected, and a t_horizon of 10**400 overflows the schedule
 VALUES = {
-    "d": _integer_key(-2, 64),
+    "d": _integer_key(-2, 64, *PAST_THE_BOUND),
     "t_horizon": _integer_key(-2, 50, 10**400),
-    "k": _integer_key(-1, 64),
+    "k": _integer_key(-1, 64, *PAST_THE_BOUND),
     "seed": _integer_key(-3, 2**70, 10**400),
     "eta": ANY_FLOAT,
     "gamma": ANY_FLOAT,
@@ -77,6 +84,11 @@ def _reject_constant(name):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(bandit=st.booleans(), mapping=st.fixed_dictionaries({}, optional=VALUES))
+# shapes the bandit environments cannot draw: (k-1)*gamma > 2 under monotone_k
+# and reduction2, and delta*(k-1) > reward_cap under monotone_k
+@example(bandit=True, mapping={"gamma": 1.5})
+@example(bandit=True, mapping={"delta": 0.6})
+@example(bandit=True, mapping={"environment": "reduction2", "k": 2, "gamma": 2.5})
 def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
     mapping.setdefault("t_horizon", 50)
     if bandit:
@@ -96,6 +108,7 @@ def test_any_mapping_is_rejected_or_runs_to_a_finite_report(bandit, mapping):
     except ConfigError:
         assert direct is None
         return
+    assert not any(kw.get(key) in PAST_THE_BOUND for key in ("d", "k"))
     assert direct == config
     report = run(config)
     text = report_json(report)
@@ -127,9 +140,14 @@ BANDIT = dict(d=2, k=3, t_horizon=10, gamma=0.2, delta=0.5)
         (BanditConfig, BANDIT, dict(k=2.5)),
         (BanditConfig, BANDIT, dict(delta="0.5")),
         (BanditConfig, BANDIT, dict(seed=None)),
+        (HalfspaceConfig, HALFSPACE, dict(d=10**400)),
+        (BanditConfig, BANDIT, dict(k=2**70)),
+        (BanditConfig, BANDIT, dict(d=10**9)),
+        (BanditConfig, dict(BANDIT, environment="sorted_k"), dict(k=12)),
     ],
     ids=["d_fraction", "seed_fraction", "eta_string", "t_horizon_huge", "eta_none",
-         "eta_huge", "d_bool", "k_fraction", "delta_string", "seed_none"],
+         "eta_huge", "d_bool", "k_fraction", "delta_string", "seed_none", "d_huge",
+         "k_huge", "d_billion", "sorted_k_past_the_score_range"],
 )
 def test_config_class_rejects_bad_value(cls, base, override):
     with pytest.raises(ConfigError):
@@ -148,3 +166,23 @@ def test_config_class_casts_integral_numbers():
     echoed = json.loads(report_json(run_halfspace_experiment(halfspace)))["config"]
     assert echoed["eta"] == 0.0 and type(echoed["eta"]) is float
     assert type(halfspace.eta) is float and type(halfspace.seed) is int
+
+
+@pytest.mark.parametrize(
+    "shape,name",
+    [
+        (dict(environment="monotone_k", k=3, delta=0.5), "delta"),
+        (dict(environment="sorted_k", k=5, gamma=0.5, delta=0.5), "gamma"),
+        (dict(environment="monotone_k", k=5, gamma=0.5, delta=0.25), "gamma"),
+        (dict(environment="reduction2", k=2, gamma=2.0, delta=0.8), "gamma"),
+    ],
+    ids=["monotone_delta", "sorted_gamma", "monotone_gamma", "reduction2_gamma"],
+)
+def test_bandit_shape_at_the_edge_runs_and_one_ulp_past_it_is_rejected(shape, name):
+    # the config and the environment test the same inequality: a shape
+    # exactly at the edge builds and draws, one ulp past it never builds
+    base = {**dict(d=3, t_horizon=300, gamma=0.2, reward_cap=1.0), **shape}
+    report = run_bandit_experiment(BanditConfig(**base))
+    assert math.isfinite(report["total_reward"])
+    with pytest.raises(ConfigError):
+        BanditConfig(**dict(base, **{name: math.nextafter(base[name], math.inf)}))

@@ -32,7 +32,7 @@ def _target(d=2, rng=None, **kw):
 def _boundary_points(target, learner_w, rng, n):
     # n points of the boundary adversary, drawn as a run draws them
     stream = MarginStream(target, rng)
-    return [adversary_round("boundary", target, learner_w, stream).x for _ in range(n)]
+    return [adversary_round("boundary", target, learner_w, stream)[0] for _ in range(n)]
 
 
 def _score_ranks(target, ctx, n=1):
@@ -145,8 +145,8 @@ def test_disagreement_rate_capped_for_all_strategies(name):
     disagree = 0
     stream = MarginStream(target, rng)
     for _ in range(n):
-        round_ = adversary_round(name, target, learner_w, stream)
-        disagree += round_.y != sign_of(float(target.w_star @ round_.x))
+        x, y = adversary_round(name, target, learner_w, stream)
+        disagree += y != sign_of(float(target.w_star @ x))
     sigma = math.sqrt(0.15 * 0.85 / n)
     assert disagree / n <= 0.15 + 3 * sigma
 
@@ -158,11 +158,11 @@ def test_adaptive_adversary_never_flips_when_already_wrong():
     learner_w = random_unit(rng, d)
     stream = MarginStream(target, rng)
     for _ in range(2000):
-        round_ = adversary_round("adaptive", target, learner_w, stream)
-        pred = sign_of(float(learner_w @ round_.x))
-        clean = sign_of(float(target.w_star @ round_.x))
+        x, y = adversary_round("adaptive", target, learner_w, stream)
+        pred = sign_of(float(learner_w @ x))
+        clean = sign_of(float(target.w_star @ x))
         if pred != clean:
-            assert round_.y == clean  # no flip wasted where the learner errs anyway
+            assert y == clean  # no flip wasted where the learner errs anyway
 
 
 def test_gen_context_gaps_and_ball():

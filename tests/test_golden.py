@@ -14,6 +14,11 @@ next quantity, so the generator's values land in other rounds. The one-row
 forms of the block functions still reproduce the per-round draws
 (test_environments checks the bytes), and the three learner-reading
 adversaries, which stay per round, kept their pins.
+
+Every pin was taken under OpenBLAS's SkylakeX kernels. Its dot products sum
+in a different order on another core, so the float bytes move there, and
+the boundary and adaptive totals with them; a failure message names the core
+this run used (the test header names it too).
 """
 
 import hashlib
@@ -22,6 +27,9 @@ import pytest
 
 from massart_online.core import BanditConfig, HalfspaceConfig
 from massart_online.harness import report_digest, run_bandit_experiment, run_halfspace_experiment
+
+# the OpenBLAS core every pin below was taken under
+PINNED_CORE = "SkylakeX"
 
 HALFSPACE = dict(d=10, t_horizon=2000, gamma=0.2, seed=0)
 BANDIT = dict(d=6, k=3, t_horizon=2000, gamma=0.2, delta=0.5, reward_cap=1.0, seed=0)
@@ -67,12 +75,13 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_transcript(name, tmp_path):
+def test_golden_transcript(name, tmp_path, blas_core):
     config, csv_sha256, digest = GOLDEN[name]
+    kernel = f"pinned under the OpenBLAS {PINNED_CORE} core, this run uses {blas_core}"
     path = tmp_path / "run.csv"
     if isinstance(config, HalfspaceConfig):
         report = run_halfspace_experiment(config, csv_path=str(path))
     else:
         report = run_bandit_experiment(config, csv_path=str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
-    assert report_digest(report) == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256, kernel
+    assert report_digest(report) == digest, kernel

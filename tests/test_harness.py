@@ -10,7 +10,6 @@ from massart_online.core import (
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
-    LabeledRound,
     seeded_rng,
 )
 from massart_online.harness import (
@@ -137,7 +136,7 @@ def test_environment_audit_catches_ball_violation(monkeypatch):
     cfg = _halfspace_config()
 
     def bad_round(adversary, target, learner_w, rng):
-        return LabeledRound(x=target.w_star * 1.5, y=1)
+        return target.w_star * 1.5, 1
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
     with pytest.raises(EnvironmentViolation):
@@ -149,7 +148,7 @@ def test_environment_audit_catches_margin_violation(monkeypatch):
 
     def bad_round(adversary, target, learner_w, rng):
         x = target.w_star * 0.1  # margin far below the promise
-        return LabeledRound(x=x, y=1)
+        return x, 1
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
     with pytest.raises(EnvironmentViolation):
@@ -235,7 +234,7 @@ def test_perceptron_noiseless_margin_mistake_bound():
     )
     points = environments.iid_points(target, rng, 5000)
     labels = environments.massart_labels(target, points, rng)
-    stream = [LabeledRound(x, y) for x, y in zip(points, labels)]
+    stream = list(zip(points, labels))
     assert perceptron_baseline(stream) <= 1.0 / gamma**2
 
 
@@ -255,9 +254,9 @@ def test_inline_perceptron_matches_standalone():
     learner = HalfspaceLearner(cfg)
     stream = []
     for _ in range(cfg.t_horizon):
-        round_ = environments.adversary_round(cfg.adversary, target, learner.w, source)
-        stream.append(round_)
-        learner.observe(round_.x, round_.y)
+        x, y = environments.adversary_round(cfg.adversary, target, learner.w, source)
+        stream.append((x, y))
+        learner.observe(x, y)
     assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
 
 
@@ -393,7 +392,7 @@ def test_cli_config_error_exit_two(capsys):
 
 def test_cli_environment_violation_exit_four(monkeypatch):
     def bad_round(adversary, target, learner_w, rng):
-        return LabeledRound(x=target.w_star * 2.0, y=1)
+        return target.w_star * 2.0, 1
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
     code = cli.main(["simulate-halfspace", "--t-horizon", "10"])
@@ -575,6 +574,29 @@ def test_cli_out_naming_a_file_exit_two(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "cannot use --out" in capsys.readouterr().err
     assert out.read_text() == "not a directory"
+
+
+def test_cli_infeasible_bandit_shape_exit_two_before_any_csv(tmp_path, capsys):
+    # (k-1)*gamma = 2.2 leaves no room for k scores gamma apart in [-1, 1]
+    out = tmp_path / "out"
+    assert cli.main(["simulate-bandit", "--k", "12", "--gamma", "0.2", "--out", str(out)]) == 2
+    assert "exceeds the score range" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-halfspace", "--t-horizon", "5", "--d", str(10**400)],
+        ["simulate-halfspace", "--t-horizon", "5", "--d", str(10**9)],
+        ["simulate-bandit", "--t-horizon", "5", "--d", "2", "--k", str(2**70)],
+    ],
+    ids=["d_huge", "d_billion", "k_huge"],
+)
+def test_cli_shape_past_the_block_bound_exit_two(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "the most one block holds" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_run_many_without_seeds_is_a_config_error():

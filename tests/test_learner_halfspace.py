@@ -33,7 +33,7 @@ def test_observe_full_update_hand_example():
     )
     learner = HalfspaceLearner(stub)
     x = np.array([0.5, 0.0])
-    out = learner.observe(x, -1)
+    _, out = learner.observe(x, -1)
     # subgrad = 0.5*(0.4*1 + 1) * x / 0.5 = (0.7, 0); w' = (1 - 0.2*0.7, 0)
     assert out.subgrad == pytest.approx(np.array([0.7, 0.0]))
     assert learner.w == pytest.approx(np.array([0.86, 0.0]))
@@ -47,7 +47,7 @@ def test_update_happens_even_when_prediction_correct():
     x = np.array([0.4, 0.3])
     assert learner.predict(x) == 1
     before = learner.w.copy()
-    out = learner.observe(x, 1)
+    _, out = learner.observe(x, 1)
     assert learner.mistakes == 0
     assert np.any(out.subgrad != 0)
     assert not np.allclose(learner.w, before)
@@ -56,7 +56,7 @@ def test_update_happens_even_when_prediction_correct():
 def test_zero_point_changes_nothing_but_the_round():
     learner = HalfspaceLearner(_config())
     before = learner.w.copy()
-    out = learner.observe(np.zeros(2), 1)
+    _, out = learner.observe(np.zeros(2), 1)
     assert out.value == 0.0
     assert out.subgrad == pytest.approx(np.zeros(2))
     assert learner.w == pytest.approx(before)
@@ -73,6 +73,17 @@ def test_recomputed_prediction_matches_prediction_before_observe():
         assert learner.predict(x) == logged  # stateless recomputation
         learner.observe(x, y)
         assert learner.mistakes <= learner.round
+
+
+def test_observe_returns_the_score_before_the_update():
+    rng = seeded_rng(3)
+    learner = HalfspaceLearner(_config(d=5, t_horizon=300))
+    for _ in range(300):
+        x = rng.uniform(-0.5, 0.5, 5)
+        w_before = learner.w.copy()
+        score, _ = learner.observe(x, 1 if rng.random() < 0.5 else -1)
+        assert type(score) is float
+        assert score.hex() == float(w_before.dot(x)).hex()
 
 
 def test_dimension_mismatch_raises():

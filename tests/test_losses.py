@@ -84,7 +84,8 @@ def test_margin_subgrad_matches_finite_differences_off_kink():
 def test_reweighted_loss_hand_example():
     w = np.array([1.0, 0.0])
     x = np.array([0.5, 0.0])
-    out = reweighted_margin_loss(w, x, 1, w, tau=0.1, delta_tilde=0.4)
+    t = float(w @ x)
+    out = reweighted_margin_loss(t, t, x, 1, tau=0.1, delta_tilde=0.4)
     assert out.value == pytest.approx(-0.3)
     assert out.subgrad == pytest.approx(np.array([-0.3, 0.0]))
 
@@ -92,7 +93,8 @@ def test_reweighted_loss_hand_example():
 def test_reweighted_loss_zero_score_is_zero():
     w = np.array([0.0, 1.0])
     x = np.array([1.0, 0.0])
-    out = reweighted_margin_loss(w, x, -1, w, tau=0.1, delta_tilde=0.4)
+    t = float(w @ x)
+    out = reweighted_margin_loss(t, t, x, -1, tau=0.1, delta_tilde=0.4)
     assert out.value == 0.0
 
 
@@ -100,17 +102,50 @@ def test_reweighted_loss_tau_clamp_fires():
     w = np.array([0.0, 1.0])
     w_ref = np.array([0.0, 1.0])
     x = np.array([1.0, 0.0])  # w_ref . x == 0, denominator falls back to tau
-    out = reweighted_margin_loss(np.array([1.0, 0.0]), x, 1, w_ref, tau=0.1, delta_tilde=0.4)
+    t = float(np.array([1.0, 0.0]) @ x)
+    out = reweighted_margin_loss(t, float(w_ref @ x), x, 1, tau=0.1, delta_tilde=0.4)
     # value = 0.5*(0.4*1 - 1)/0.1
     assert out.value == pytest.approx(-3.0)
 
 
+def _vector_form(w, x, y, w_ref, tau, delta_tilde):
+    # the loss as it was computed from the vectors w and w_ref, each score an
+    # np.dot product of its own
+    denom = max(abs(float(np.dot(w_ref, x))), tau)
+    t = float(np.dot(w, x))
+    coef = leaky_margin_subgrad(delta_tilde, t, y) / denom
+    return leaky_margin_loss(delta_tilde, t, y) / denom, coef * x
+
+
+def test_reweighted_loss_matches_vector_form_bytes():
+    # the score form, fed w.dot(x) as the learner takes it, gives the value
+    # and subgradient bytes of the vector form, at t = 0 and under the tau
+    # floor too
+    rng = seeded_rng(9)
+    for i in range(3000):
+        d = int(rng.integers(1, 13))
+        w, w_ref, x = rng.uniform(-1.0, 1.0, (3, d))
+        if i % 3 == 1:
+            w[0], x[1:] = 0.0, 0.0  # t = 0
+        if i % 3 == 2:
+            w_ref *= 1e-4  # |t_ref| <= 12e-4 < tau
+        y = 1 if rng.random() < 0.5 else -1
+        tau, delta_tilde = rng.uniform(0.01, 0.3), rng.uniform(0.05, 0.95)
+        t, t_ref = float(w.dot(x)), float(w_ref.dot(x))
+        assert t == 0.0 or i % 3 != 1
+        assert abs(t_ref) < tau or i % 3 != 2
+        got = reweighted_margin_loss(t, t_ref, x, y, tau, delta_tilde)
+        value, subgrad = _vector_form(w, x, y, w_ref, tau, delta_tilde)
+        assert got.value.hex() == value.hex()
+        assert got.subgrad.tobytes() == subgrad.tobytes()
+
+
 def test_reweighted_loss_rejects_nonpositive_tau():
-    w = np.ones(2)
+    x = np.ones(2)
     with pytest.raises(ValueError):
-        reweighted_margin_loss(w, w, 1, w, tau=0.0, delta_tilde=0.4)
+        reweighted_margin_loss(2.0, 2.0, x, 1, tau=0.0, delta_tilde=0.4)
     with pytest.raises(ValueError):
-        reweighted_margin_loss(w, w, 1, w, tau=-0.1, delta_tilde=0.4)
+        reweighted_margin_loss(2.0, 2.0, x, 1, tau=-0.1, delta_tilde=0.4)
 
 
 def test_arm_gap_loss_zero_branch_hand_example():
