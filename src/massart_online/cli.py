@@ -78,8 +78,13 @@ def _run_experiment(args, runner, config):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out = _out_dir(args)
+    seeds = [config.seed + i for i in range(args.seeds)]
+    if out is not None:
+        # a directory where an output file goes fails here, before any round
+        for path in [out / "report.json"] + [out / f"run_{seed}.csv" for seed in seeds]:
+            if path.is_dir():
+                raise ConfigError(f"cannot write --out file {path}: it is a directory")
     if args.seeds > 1:
-        seeds = [config.seed + i for i in range(args.seeds)]
         report = run_many(runner, config, seeds, out_dir=out)
     elif out is not None:
         report = runner(config, csv_path=str(out / f"run_{config.seed}.csv"))

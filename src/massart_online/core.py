@@ -50,12 +50,12 @@ def spawn_streams(seed, n):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
+def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0):
     """Schedule for the noisy-halfspace learner from (eta, gamma, T, zeta).
 
     epsilon follows T^(-1/(4+2*zeta))/gamma, clamped strictly below
-    (1-2*eta)/2; tau = epsilon^(1+zeta)*gamma/4; the step size uses
-    diameter 2*domain_radius and gradient bound 1/tau.
+    (1-2*eta)/2; tau = epsilon^(1+zeta)*gamma/4; the step size uses the
+    unit ball's diameter 2 and gradient bound 1/tau.
     """
     if not 0 <= eta < 0.5:
         raise ConfigError(f"eta must be in [0, 0.5), got {eta}")
@@ -65,8 +65,6 @@ def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
         raise ConfigError(f"t_horizon must be at least 1, got {t_horizon}")
     if zeta < 0:
         raise ConfigError(f"zeta must be nonnegative, got {zeta}")
-    if domain_radius <= 0:
-        raise ConfigError(f"domain_radius must be positive, got {domain_radius}")
     cap = (1.0 - 2.0 * eta) / 2.0 - EPSILON_CLAMP_MARGIN
     if cap <= 0:
         raise ConfigError(f"eta={eta} is too close to 1/2, no usable signal")
@@ -76,7 +74,7 @@ def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
     tau = epsilon ** (1.0 + zeta) * gamma / 4.0
     if tau == 0:
         raise ConfigError(f"tau underflows to 0 at zeta={zeta}, gamma={gamma}")
-    step = optimizer.step_size(2.0 * domain_radius, 1.0 / tau, t_horizon)
+    step = optimizer.step_size(2.0, 1.0 / tau, t_horizon)
     return {
         "epsilon": epsilon,
         "delta_tilde": delta_tilde,
@@ -86,7 +84,7 @@ def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0, domain_radius=1.0):
     }
 
 
-def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon, domain_radius=1.0):
+def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon):
     """Schedule for the k-arm learner from (gamma, delta, reward cap, k, T).
 
     rho = gamma/2; lambda_cap = (1/gamma) * T^(1/6) * (cap/(k*delta))^(1/3);
@@ -103,14 +101,12 @@ def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon, domain_radius=1
         raise ConfigError(f"k must be at least 2, got {k}")
     if t_horizon < 1:
         raise ConfigError(f"t_horizon must be at least 1, got {t_horizon}")
-    if domain_radius <= 0:
-        raise ConfigError(f"domain_radius must be positive, got {domain_radius}")
     rho = gamma / 2.0
     lambda_cap = (1.0 / gamma) * t_horizon ** (1.0 / 6.0) * (reward_cap / (k * delta)) ** (1.0 / 3.0)
     q_raw = reward_cap / (gamma * lambda_cap * delta)
     q = min(1.0, q_raw)
     grad_bound = (1.0 / q) * 2.0 * reward_cap * k * max(lambda_cap, 1.0 / rho)
-    step = optimizer.step_size(2.0 * domain_radius, grad_bound, t_horizon)
+    step = optimizer.step_size(2.0, grad_bound, t_horizon)
     return {
         "rho": rho,
         "lambda_cap": lambda_cap,
@@ -200,7 +196,6 @@ class HalfspaceConfig:
     gamma: float
     zeta: float = 0.0
     seed: int = 0
-    domain_radius: float = 1.0
     adversary: str = "iid"
     epsilon: float = field(init=False)
     delta_tilde: float = field(init=False)
@@ -211,9 +206,7 @@ class HalfspaceConfig:
     def __post_init__(self):
         if self.adversary not in ADVERSARIES:
             raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {self.adversary!r}")
-        _settle(
-            self, derive_halfspace_params, "eta", "gamma", "t_horizon", "zeta", "domain_radius"
-        )
+        _settle(self, derive_halfspace_params, "eta", "gamma", "t_horizon", "zeta")
 
 
 @dataclass(frozen=True)
@@ -227,7 +220,6 @@ class BanditConfig:
     delta: float
     reward_cap: float = 1.0
     seed: int = 0
-    domain_radius: float = 1.0
     environment: str = "monotone_k"
     rho: float = field(init=False)
     lambda_cap: float = field(init=False)
@@ -240,10 +232,7 @@ class BanditConfig:
             raise ConfigError(
                 f"environment must be one of {BANDIT_ENVIRONMENTS}, got {self.environment!r}"
             )
-        _settle(
-            self, derive_bandit_params,
-            "gamma", "delta", "reward_cap", "k", "t_horizon", "domain_radius",
-        )
+        _settle(self, derive_bandit_params, "gamma", "delta", "reward_cap", "k", "t_horizon")
         check_score_range(self.k, self.gamma)
         if self.environment == "monotone_k":
             monotone_noise(self.delta, self.k, self.reward_cap)
@@ -281,24 +270,30 @@ def load_config_file(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    _check_keys(raw)
+    return raw
+
+
+def _check_keys(mapping):
+    unknown = sorted(str(key) for key in mapping if key not in CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return raw
 
 
 def _config_from(cls, mapping):
     # each init field of cls from the mapping; one it leaves out takes the
-    # reader's default, or else the class's
+    # reader's default, or else the class's. A key of neither class is an
+    # error; one of the other class is not, so one mapping serves both.
+    _check_keys(mapping)
     values = {**_READ_DEFAULTS, **mapping}
     return cls(**{f.name: values[f.name] for f in fields(cls) if f.init and f.name in values})
 
 
 def halfspace_config_from(mapping):
-    """Build a HalfspaceConfig from a flat config mapping (extra keys ignored)."""
+    """Build a HalfspaceConfig from a flat config mapping (BanditConfig keys ignored)."""
     return _config_from(HalfspaceConfig, mapping)
 
 
 def bandit_config_from(mapping):
-    """Build a BanditConfig from a flat config mapping (extra keys ignored)."""
+    """Build a BanditConfig from a flat config mapping (HalfspaceConfig keys ignored)."""
     return _config_from(BanditConfig, mapping)

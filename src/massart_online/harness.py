@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -230,20 +231,28 @@ def run_bandit_experiment(config, csv_path=None):
 
 
 def run_many(runner, config, seeds, out_dir=None):
-    """Run one config across seeds (sorted, so aggregation is order-free)."""
-    if not seeds:
+    """Run one config across distinct seeds (any iterable, run in sorted
+    order, so aggregation is order-free); out_dir, a str or a Path, gets
+    run_<seed>.csv per seed."""
+    # each seed's config checks its seed, so a bad one fails before any run
+    configs = sorted(
+        (dataclasses.replace(config, seed=seed) for seed in seeds), key=lambda c: c.seed
+    )
+    if not configs:
         raise ConfigError("run_many needs at least one seed")
+    ordered = [cfg.seed for cfg in configs]
+    if len(set(ordered)) < len(ordered):
+        raise ConfigError(f"run_many needs distinct seeds, got {ordered}")
     per_seed = []
-    for seed in sorted(seeds):
-        cfg = dataclasses.replace(config, seed=seed)
+    for cfg in configs:
         csv_path = None
         if out_dir is not None:
-            csv_path = str(out_dir / f"run_{seed}.csv")
+            csv_path = str(Path(out_dir) / f"run_{cfg.seed}.csv")
         per_seed.append(runner(cfg, csv_path=csv_path))
     metric = "total_mistakes" if per_seed[0]["kind"] == "halfspace" else "total_reward"
     return {
         "kind": per_seed[0]["kind"] + "_multi",
-        "seeds": sorted(seeds),
+        "seeds": ordered,
         "mean_" + metric: float(np.mean([r[metric] for r in per_seed])),
         "per_seed": per_seed,
     }

@@ -7,18 +7,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .losses import arm_gap_loss
-from .optimizer import ogd_update, project_ball
+from .optimizer import ogd_update
 
 
 def select_action(w, context, rng):
-    """Argmax arm of w . x_i over the columns x_i of the (d, k) context,
-    lowest index on ties; uniform arm when w == 0."""
+    """(arm, score): the argmax arm of w . x_i over the columns x_i of the
+    (d, k) context, lowest index on ties, and its score w . x_arm from the
+    one product w @ context; a uniform arm and 0.0 when w == 0."""
     k = context.shape[1]
     if k == 0:
         raise ValueError("empty context")
     if not w.any():
-        return int(rng.integers(k))
-    return int((w @ context).argmax())
+        return int(rng.integers(k)), 0.0
+    scores = w @ context
+    arm = int(scores.argmax())
+    return arm, float(scores[arm])
 
 
 def fake_rewards(k, reward_cap, beta, r_beta):
@@ -66,14 +69,14 @@ class BanditLearner:
         HEADS (probability q): play a uniform arm beta, build the fake reward
         vector from its reward, and step on (1/q) times the arm-gap loss with
         the current iterate as reference vector. TAILS: play the greedy arm;
-        the loss is zero, so the step only projects.
+        the loss is zero and w stays, since e1 starts on the unit ball and
+        every HEADS step projects onto it.
         """
         config = self.config
         if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
         w = self.w
-        alpha = select_action(w, context, self.rng)
-        score = float(w.dot(context[:, alpha]))
+        alpha, score = select_action(w, context, self.rng)
         explored = self.rng.random() < config.q
         if explored:
             k = context.shape[1]
@@ -84,15 +87,12 @@ class BanditLearner:
                 w, context, w, surrogate, alpha, config.delta, config.rho, config.lambda_cap
             )
             loss_value = evaluated.value / config.q
-            self.w = ogd_update(
-                w, evaluated.subgrad / config.q, config.step_size, config.domain_radius
-            )
+            self.w = ogd_update(w, evaluated.subgrad / config.q, config.step_size)
             self.exploration_count += 1
         else:
             played = alpha
             observed = float(reward_oracle(alpha))
             loss_value = 0.0
-            self.w = project_ball(w, config.domain_radius)
         self.round += 1
         self.cumulative_reward += observed
         return BanditFeedback(

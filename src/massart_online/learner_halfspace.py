@@ -33,6 +33,6 @@ class HalfspaceLearner:
         if sign_of(score) != y:
             self.mistakes += 1
         evaluated = reweighted_margin_loss(score, score, x, y, config.tau, config.delta_tilde)
-        self.w = ogd_update(self.w, evaluated.subgrad, config.step_size, config.domain_radius)
+        self.w = ogd_update(self.w, evaluated.subgrad, config.step_size)
         self.round += 1
         return score, evaluated

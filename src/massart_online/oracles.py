@@ -414,9 +414,9 @@ def check_argmax_scale_invariance(seed=12, n=2_000):
         k = int(rng.integers(2, 7))
         context = np.column_stack([sample_ball(rng, d) for _ in range(k)])
         w = random_unit(rng, d)
-        base = select_action(w, context, rng)
+        base = select_action(w, context, rng)[0]
         for scale in (1e-3, 7.0, 1e3):
-            if select_action(scale * w, context, rng) != base:
+            if select_action(scale * w, context, rng)[0] != base:
                 bad += 1
     return _result("argmax_scale_invariance", bad == 0, f"{bad} mismatches over {n} draws")
 

@@ -61,7 +61,6 @@ VALUES = {
     "zeta": ANY_FLOAT,
     "delta": ANY_FLOAT,
     "reward_cap": ANY_FLOAT,
-    "domain_radius": ANY_FLOAT,
     "adversary": st.sampled_from(ADVERSARIES + ("bogus",)),
     "environment": st.sampled_from(ENVIRONMENTS + ("bogus",)),
 }
@@ -152,6 +151,31 @@ BANDIT = dict(d=2, k=3, t_horizon=10, gamma=0.2, delta=0.5)
 def test_config_class_rejects_bad_value(cls, base, override):
     with pytest.raises(ConfigError):
         cls(**dict(base, **override))
+
+
+@pytest.mark.parametrize(
+    "build,mapping",
+    [
+        (halfspace_config_from, {"t_horizn": 5, "gama": 0.9}),
+        (bandit_config_from, {"enviroment": "sorted_k"}),
+        (halfspace_config_from, {"domain_radius": 0.5}),
+        (bandit_config_from, {"domain_radius": 1.0}),
+        (bandit_config_from, {"t_horizon": 5, 7: 1}),
+    ],
+    ids=["misspelled_halfspace", "misspelled_bandit", "domain_radius_halfspace",
+         "domain_radius_bandit", "non_string_key"],
+)
+def test_config_reader_rejects_unknown_keys(build, mapping):
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        build(mapping)
+
+
+def test_config_reader_takes_the_other_class_keys():
+    # one mapping serves both readers, so a key of the other class is no error
+    both = {"t_horizon": 5, "eta": 0.2, "zeta": 0.5, "adversary": "boundary", "k": 2,
+            "delta": 0.8, "reward_cap": 1.0, "environment": "reduction2"}
+    assert halfspace_config_from(both).adversary == "boundary"
+    assert bandit_config_from(both).environment == "reduction2"
 
 
 def test_config_class_casts_integral_numbers():

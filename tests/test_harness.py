@@ -479,7 +479,7 @@ def test_cli_infinite_config_file_value_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--zeta", "--domain-radius"])
+@pytest.mark.parametrize("flag", ["--zeta"])
 def test_cli_halfspace_nan_flag_exit_two(flag, capsys):
     assert cli.main(["simulate-halfspace", "--t-horizon", "50", flag, "nan"]) == 2
     captured = capsys.readouterr()
@@ -528,13 +528,13 @@ def test_cli_non_integer_config_file_value_exit_two(text, tmp_path, capsys):
     "command,text,message",
     [
         ("simulate-halfspace", '{"gamma": true}', "gamma must be a number"),
-        ("simulate-halfspace", '{"domain_radius": true}', "domain_radius must be a number"),
+        ("simulate-halfspace", '{"zeta": true}', "zeta must be a number"),
         ("simulate-bandit", '{"delta": true}', "delta must be a number"),
         ("simulate-halfspace", '{"gamma": "0.3"}', "gamma must be a number"),
         ("simulate-bandit", '{"reward_cap": "1.0"}', "reward_cap must be a number"),
         ("simulate-halfspace", '{"d": "4"}', "d must be an integer"),
     ],
-    ids=["bool_gamma", "bool_domain_radius", "bool_delta", "string_gamma", "string_reward_cap",
+    ids=["bool_gamma", "bool_zeta", "bool_delta", "string_gamma", "string_reward_cap",
          "string_d"],
 )
 def test_cli_non_number_config_file_value_exit_two(command, text, message, tmp_path, capsys):
@@ -608,6 +608,85 @@ def test_cli_unknown_config_key_exit_two(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"bogus": 1}')
     assert cli.main(["simulate-halfspace", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate-halfspace", "simulate-bandit", "baseline"])
+def test_cli_domain_radius_flag_is_gone_exit_two(command, capsys):
+    # every run is on the unit ball; the flag is an unknown argument now
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--t-horizon", "5", "--domain-radius", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate-halfspace", "simulate-bandit"])
+def test_cli_domain_radius_config_key_exit_two(command, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"domain_radius": 1}')
+    assert cli.main([command, "--t-horizon", "5", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown config keys: domain_radius" in captured.err
+    assert captured.out == ""
+
+
+def test_run_many_takes_a_str_out_dir(tmp_path):
+    cfg = _halfspace_config(t_horizon=10)
+    run_many(run_halfspace_experiment, cfg, [4], out_dir=str(tmp_path))
+    assert (tmp_path / "run_4.csv").exists()
+
+
+def test_run_many_takes_a_generator_of_seeds():
+    cfg = _halfspace_config(t_horizon=10)
+    agg = run_many(run_halfspace_experiment, cfg, (seed for seed in (2, 1)))
+    assert agg["seeds"] == [1, 2]
+    assert [r["config"]["seed"] for r in agg["per_seed"]] == [1, 2]
+
+
+def test_run_many_empty_iterator_is_a_config_error():
+    with pytest.raises(ConfigError, match="at least one seed"):
+        run_many(run_halfspace_experiment, _halfspace_config(t_horizon=10), iter([]))
+
+
+@pytest.mark.parametrize("seeds", [[0, "a"], ["a"], [0, None], [0, 1.5]])
+def test_run_many_bad_seed_is_a_config_error_before_any_run(seeds):
+    calls = []
+    runner = lambda cfg, csv_path=None: calls.append(cfg.seed)  # noqa: E731
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        run_many(runner, _halfspace_config(t_horizon=10), seeds)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seeds", [[1, 1], [2, 1, 2.0]])
+def test_run_many_duplicate_seeds_are_a_config_error(seeds, tmp_path):
+    with pytest.raises(ConfigError, match="distinct seeds"):
+        run_many(run_halfspace_experiment, _halfspace_config(t_horizon=10), seeds, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_out_csv_path_taken_by_a_directory_exit_two(tmp_path, capsys):
+    (tmp_path / "run_0.csv").mkdir()
+    argv = ["simulate-halfspace", "--t-horizon", "5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot write --out file" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("seeds", ["1", "2"])
+def test_cli_out_report_path_taken_by_a_directory_exit_two_before_any_round(
+    seeds, tmp_path, capsys
+):
+    # each run opens its CSV before its first round, so no CSV means no round
+    (tmp_path / "report.json").mkdir()
+    argv = ["simulate-bandit", "--t-horizon", "5", "--seeds", seeds, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot write --out file" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_oracle_failure_exit_three(monkeypatch, capsys):

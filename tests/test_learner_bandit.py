@@ -14,6 +14,7 @@ from massart_online.environments import (
     random_unit,
 )
 from massart_online.learner_bandit import BanditLearner, fake_rewards, select_action
+from massart_online.optimizer import norm
 from massart_online.oracles import (
     check_argmax_scale_invariance,
     check_debiasing,
@@ -44,12 +45,30 @@ def _config(**overrides):
 
 def test_select_action_argmax():
     ctx = np.array([[0.9, 0.1], [0.0, 0.0]])
-    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0)) == 0
+    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0))[0] == 0
 
 
 def test_select_action_tie_lowest_index():
     ctx = np.array([[0.4, 0.4, 0.1], [0.0, 0.0, 0.0]])
-    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0)) == 0
+    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0))[0] == 0
+
+
+def test_select_action_returns_the_argmax_score_of_its_one_product():
+    rng = seeded_rng(9)
+    for _ in range(500):
+        w = rng.normal(size=10)
+        ctx = rng.uniform(-1.0, 1.0, (10, 3))
+        arm, score = select_action(w, ctx, rng)
+        scores = w @ ctx
+        assert arm == int(scores.argmax())
+        assert type(score) is float
+        assert np.float64(score).tobytes() == np.float64(scores[arm]).tobytes()
+
+
+def test_select_action_zero_weight_scores_zero():
+    arm, score = select_action(np.zeros(2), np.array([[0.5, -0.5], [0.1, 0.2]]), seeded_rng(0))
+    assert arm in (0, 1)
+    assert np.float64(score).tobytes() == np.float64(0.0).tobytes()
 
 
 def test_select_action_zero_weight_uniform():
@@ -59,7 +78,7 @@ def test_select_action_zero_weight_uniform():
     n = 10_000
     counts = np.zeros(k)
     for _ in range(n):
-        counts[select_action(np.zeros(2), ctx, rng)] += 1
+        counts[select_action(np.zeros(2), ctx, rng)[0]] += 1
     sigma = math.sqrt((1 / k) * (1 - 1 / k) / n)
     assert np.all(np.abs(counts / n - 1 / k) <= 3 * sigma)
 
@@ -124,7 +143,7 @@ def test_q_zero_regime_never_moves():
     # force q = 0 through a stub config: pure exploitation, frozen weights
     stub = SimpleNamespace(
         d=2, k=2, t_horizon=50, gamma=0.2, delta=0.5, reward_cap=1.0,
-        q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1, domain_radius=1.0,
+        q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1,
     )
     learner = BanditLearner(stub, seeded_rng(0))
     ctx = np.array([[0.5, -0.5], [0.1, 0.2]])
@@ -138,18 +157,35 @@ def test_q_zero_regime_never_moves():
     assert learner.cumulative_reward == pytest.approx(50 * 0.7)
 
 
-def test_tails_round_only_projects():
-    # the TAILS loss is zero, so w moves only when it lies outside the ball:
-    # the first round pulls e1 onto radius 0.5, later rounds leave it there
+def test_tails_round_leaves_w_alone():
+    # the TAILS loss is zero and the iterate is already on the unit ball, so
+    # w keeps its bytes, even where its computed norm is 1 + 1 ulp and a
+    # projection would move it
+    rng = seeded_rng(10)
+    w = next(v for v in (u / norm(u) for u in rng.normal(size=(100, 6))) if norm(v) > 1.0)
+    assert norm(w) == math.nextafter(1.0, 2.0)
     stub = SimpleNamespace(
-        d=2, k=2, t_horizon=5, gamma=0.2, delta=0.5, reward_cap=1.0,
-        q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1, domain_radius=0.5,
+        d=6, k=3, t_horizon=5, gamma=0.2, delta=0.5, reward_cap=1.0,
+        q=0.0, rho=0.1, lambda_cap=1.0, step_size=0.1,
     )
     learner = BanditLearner(stub, seeded_rng(0))
-    ctx = np.array([[0.5, -0.5], [0.1, 0.2]])
+    learner.w = w.copy()
+    ctx = rng.uniform(-0.4, 0.4, (6, 3))
     for _ in range(5):
         assert not learner.play_round(ctx, lambda arm: 0.7).explored
-        assert learner.w.tobytes() == np.array([0.5, 0.0]).tobytes()
+        assert learner.w.tobytes() == w.tobytes()
+
+
+def test_play_round_score_is_select_actions_score():
+    config = _config(d=6, k=3, t_horizon=300)
+    learner = BanditLearner(config, seeded_rng(11))
+    env_rng = seeded_rng(12)
+    for _ in range(300):
+        ctx = env_rng.uniform(-0.4, 0.4, (6, 3))
+        scores = learner.w @ ctx
+        fb = learner.play_round(ctx, lambda arm: 0.5)
+        assert fb.greedy_arm == int(scores.argmax())
+        assert np.float64(fb.score).tobytes() == np.float64(scores[fb.greedy_arm]).tobytes()
 
 
 def test_q_one_regime_explores_uniformly():
@@ -171,7 +207,7 @@ def test_hand_traced_heads_round():
     # d=2, k=2, w=e1, pinned coin HEADS and explore arm 0
     stub = SimpleNamespace(
         d=2, k=2, t_horizon=10, gamma=0.2, delta=0.5, reward_cap=1.0,
-        q=1.0, rho=0.1, lambda_cap=1.0, step_size=0.01, domain_radius=1.0,
+        q=1.0, rho=0.1, lambda_cap=1.0, step_size=0.01,
     )
     learner = BanditLearner(stub, FixedRng(coins=[0.0], arms=[0]))
     ctx = np.array([[0.6, 0.1], [0.0, 0.0]])

@@ -28,9 +28,7 @@ def test_predict_signs(x, expected):
 
 def test_observe_full_update_hand_example():
     # duck-typed config pins tau=0.1, delta_tilde=0.4, step=0.2 exactly
-    stub = SimpleNamespace(
-        d=2, t_horizon=10, tau=0.1, delta_tilde=0.4, step_size=0.2, domain_radius=1.0
-    )
+    stub = SimpleNamespace(d=2, t_horizon=10, tau=0.1, delta_tilde=0.4, step_size=0.2)
     learner = HalfspaceLearner(stub)
     x = np.array([0.5, 0.0])
     _, out = learner.observe(x, -1)
