@@ -8,8 +8,10 @@ Generators promise, by construction: points in the unit ball with
 The streams that never read the learner (iid points, sorted_k, monotone_k,
 reduction2) are drawn BLOCK rounds per numpy call and served one row per
 round; blocks are always full, so round t's draw depends on the seed and t
-only. gen_context is the one-row case of context_block and consumes the
-generator in the same order as one round of a block.
+only. Each freshly drawn block goes through the audit callable its stream was
+built with before the block's first row is served. gen_context is the
+one-row case of context_block and consumes the generator in the same order
+as one round of a block.
 """
 
 import math
@@ -52,11 +54,15 @@ def sample_ball(rng, d):
     return direction * rng.random() ** (1.0 / d)
 
 
-def block_rows(draw, rng):
+def block_rows(draw, rng, audit):
     """Rounds one at a time, from full blocks: draw(rng, BLOCK) returns one
-    block's rounds. Nothing is drawn before the first round is asked for."""
+    block as a tuple of arrays (or lists) whose rows are its rounds, and
+    audit(*block) checks the whole block before its first round is served.
+    Nothing is drawn before the first round is asked for."""
     while True:
-        yield from draw(rng, BLOCK)
+        block = draw(rng, BLOCK)
+        audit(*block)
+        yield from zip(*block)
 
 
 def _rowdot(a, b):
@@ -172,11 +178,11 @@ def _labeled_iid(target, rng, n):
 class MarginStream:
     """One run's source of halfspace rounds: the generator that boundary and
     adaptive rounds draw from each round, and the iid rounds, served from
-    blocks of labeled points."""
+    blocks of labeled points; audit(points, labels) checks each block."""
 
-    def __init__(self, target, rng):
+    def __init__(self, target, rng, audit):
         self.rng = rng
-        self.iid = block_rows(lambda rng, n: zip(*_labeled_iid(target, rng, n)), rng)
+        self.iid = block_rows(lambda rng, n: _labeled_iid(target, rng, n), rng, audit)
 
 
 def adversary_round(adversary, target, learner_w, stream):
@@ -261,26 +267,28 @@ def monotone_rewards(target, ranks, rng):
 
 class _BlockEnvironment:
     """Serves one round per next_round call from blocks drawn by the
-    subclass's _block(rng, n); the first call draws the first block."""
+    subclass's _block(rng, n), each checked by audit(contexts, rewards); the
+    first call draws the first block."""
 
     _rows = None
 
     def next_round(self, rng):
         if self._rows is None:
-            self._rows = block_rows(self._block, rng)
+            self._rows = block_rows(self._block, rng, self.audit)
         return next(self._rows)
 
 
 class SortedRewardEnvironment(_BlockEnvironment):
     """Contexts from context_block, rewards sampled already sorted."""
 
-    def __init__(self, target, k):
+    def __init__(self, target, k, audit):
         self.target = target
         self.k = k
+        self.audit = audit
 
     def _block(self, rng, n):
         contexts, ranks = context_block(self.target, self.k, rng, n)
-        return zip(contexts, sorted_rewards(self.target, ranks, rng))
+        return contexts, sorted_rewards(self.target, ranks, rng)
 
     # bound in each class, so that a wrapper patched onto one class sees
     # that environment's rounds only
@@ -291,13 +299,14 @@ class MonotoneRewardEnvironment(_BlockEnvironment):
     """Contexts from context_block, rank-linear rewards with margin delta and
     the widest noise that keeps them inside [0, reward_cap]."""
 
-    def __init__(self, target, k):
+    def __init__(self, target, k, audit):
         self.target = target
         self.k = k
+        self.audit = audit
 
     def _block(self, rng, n):
         contexts, ranks = context_block(self.target, self.k, rng, n)
-        return zip(contexts, monotone_rewards(self.target, ranks, rng))
+        return contexts, monotone_rewards(self.target, ranks, rng)
 
     next_round = _BlockEnvironment.next_round
 
@@ -317,7 +326,8 @@ class ReductionEnvironment(_BlockEnvironment):
     1 - 2*eta with eta = (1 - delta)/2.
     """
 
-    def __init__(self, target):
+    def __init__(self, target, audit):
+        self.audit = audit
         self.eta = (1.0 - target.delta) / 2.0
         self.point_target = HiddenTarget(
             w_star=target.w_star,
@@ -326,16 +336,17 @@ class ReductionEnvironment(_BlockEnvironment):
         )
 
     def _block(self, rng, n):
-        return zip(*_reduction_block(*_labeled_iid(self.point_target, rng, n)))
+        return _reduction_block(*_labeled_iid(self.point_target, rng, n))
 
     next_round = _BlockEnvironment.next_round
 
 
-def make_bandit_environment(name, target, k):
+def make_bandit_environment(name, target, k, audit):
+    """The named environment; audit(contexts, rewards) checks each block."""
     if name == "sorted_k":
-        return SortedRewardEnvironment(target, k)
+        return SortedRewardEnvironment(target, k, audit)
     if name == "monotone_k":
-        return MonotoneRewardEnvironment(target, k)
+        return MonotoneRewardEnvironment(target, k, audit)
     if name == "reduction2":
-        return ReductionEnvironment(target)
+        return ReductionEnvironment(target, audit)
     raise ConfigError(f"unknown bandit environment {name!r}")

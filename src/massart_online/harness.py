@@ -1,22 +1,31 @@
 """Experiment driver: runs learners against environments, audits the
-environment's promises every round, and serializes per-round CSV traces plus
-JSON reports. Reports are byte-reproducible from (config, seed) except for
-the wall_time_s field."""
+environment's promises, and serializes per-round CSV traces plus JSON
+reports. Reports are byte-reproducible from (config, seed) except for the
+wall_time_s field.
+
+An oblivious stream (iid points, sorted_k, monotone_k, reduction2) is
+audited one block at a time, before the block's first round is served, so
+a bad row stops the run at that block's first round. The boundary and
+adaptive adversaries read the iterate, and their rounds are audited one by
+one.
+"""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import environments
-from .core import ConfigError, config_dict, spawn_streams
+from .core import BLOCK, ConfigError, config_dict, spawn_streams
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
 from .losses import sign_of
-from .optimizer import norm
+from .optimizer import norm, short_sum
 
 CSV_HEADER = "round,action,observed,score,loss,explored,cum_metric,w_norm"
 
@@ -27,23 +36,16 @@ class EnvironmentViolation(RuntimeError):
     """The environment broke one of its own promises (ball, margin, range)."""
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 class _CsvSink:
     def __init__(self, path):
         self.fh = open(path, "w", newline="") if path else None
         if self.fh:
             self.fh.write(CSV_HEADER + "\n")
 
-    def write(self, *row):
-        """One CSV row in CSV_HEADER order; call it only when fh is open."""
-        self.fh.write(",".join(map(_fmt, row)) + "\n")
+    def write(self, line):
+        """One formatted CSV row in CSV_HEADER order, newline included; call
+        it only when fh is open."""
+        self.fh.write(line)
 
     def close(self):
         if self.fh:
@@ -76,31 +78,54 @@ def perceptron_baseline(stream):
     return model.mistakes if model is not None else 0
 
 
-def _audit_point(x, w_star, gamma):
-    x_norm = norm(x)
-    if x_norm > 1.0 + AUDIT_TOL:
+def _draws(draw, rng):
+    """The baselines' own random draws one at a time, draw(rng, BLOCK) giving
+    a block of them; they are not environment rows, so nothing audits them."""
+    while True:
+        yield from draw(rng, BLOCK)
+
+
+# Every bound below reads "not (value within bound)", so that NaN, which
+# fails every comparison, fails the audit too.
+
+
+def _audit_point(x, y, target):
+    """Audits one round's point x and label y, or one block: the (n, d)
+    points x and the list y of their labels; target holds the promises."""
+    w_star, gamma = target.w_star, target.gamma
+    if x.ndim == 1:
+        x_norm, margin, labels = norm(x), abs(float(w_star.dot(x))), (y,)
+    else:
+        x_norm = math.sqrt((x * x).sum(axis=1).max())
+        margin, labels = float(np.abs(x @ w_star).min()), set(y)
+    if not x_norm <= 1.0 + AUDIT_TOL:
         raise EnvironmentViolation(f"point norm {x_norm} exceeds the unit ball")
-    margin = abs(float(w_star.dot(x)))
-    if margin < gamma - AUDIT_TOL:
+    if not margin >= gamma - AUDIT_TOL:
         raise EnvironmentViolation(f"margin {margin} below the promised {gamma}")
+    for label in labels:
+        if label not in (-1, 1):
+            raise EnvironmentViolation(f"label {label} outside {{-1, +1}}")
 
 
-def _audit_context(context, rewards, w_star, config):
-    if context.shape != (config.d, config.k):
+def _audit_context(contexts, rewards, target, k):
+    """Audits one block: the (n, d, k) contexts, every column in the unit
+    ball with w_star scores at least gamma apart within its context, and
+    their (n, k) rewards inside [0, reward_cap]; target holds the promises."""
+    w_star, gamma, reward_cap = target.w_star, target.gamma, target.reward_cap
+    n, d = len(contexts), w_star.shape[0]
+    if contexts.shape != (n, d, k):
         raise EnvironmentViolation(
-            f"context shape {context.shape} is not (d, k) = {(config.d, config.k)}"
+            f"context shape {contexts.shape[1:]} is not (d, k) = {(d, k)}"
         )
-    gamma, reward_cap = config.gamma, config.reward_cap
-    worst_sq = max((context * context).sum(axis=0).tolist())
-    if worst_sq > (1.0 + AUDIT_TOL) ** 2:
+    worst_sq = float((contexts * contexts).sum(axis=1).max())
+    if not worst_sq <= (1.0 + AUDIT_TOL) ** 2:
         raise EnvironmentViolation(f"context column norm {worst_sq**0.5} exceeds the unit ball")
-    scores = sorted((w_star @ context).tolist())
-    min_gap = min(hi - lo for lo, hi in zip(scores, scores[1:]))
-    if min_gap < gamma - AUDIT_TOL:
+    scores = np.sort(w_star @ contexts, axis=1)
+    min_gap = float((scores[:, 1:] - scores[:, :-1]).min())
+    if not min_gap >= gamma - AUDIT_TOL:
         raise EnvironmentViolation(f"context score gap {min_gap} below the promised {gamma}")
-    values = rewards.tolist()
-    low, high = min(values), max(values)
-    if low < -AUDIT_TOL or high > reward_cap + AUDIT_TOL:
+    low, high = float(rewards.min()), float(rewards.max())
+    if not (low >= -AUDIT_TOL and high <= reward_cap + AUDIT_TOL):
         raise EnvironmentViolation(f"rewards outside [0, {reward_cap}]: [{low}, {high}]")
 
 
@@ -120,15 +145,17 @@ def run_halfspace_experiment(config, csv_path=None):
     learner = HalfspaceLearner(config)
     perceptron = _Perceptron(config.d)
     random_mistakes = 0
-    stream = environments.MarginStream(target, rng_env)
-    heads = environments.block_rows(lambda rng, n: (rng.random(n) < 0.5).tolist(), rng_base)
+    audit = functools.partial(_audit_point, target=target)
+    stream = environments.MarginStream(target, rng_env, audit)
+    # iid rows reach the loop audited with their block
+    audit_rounds = config.adversary != "iid"
+    heads = _draws(lambda rng, n: (rng.random(n) < 0.5).tolist(), rng_base)
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
             x, y = environments.adversary_round(config.adversary, target, learner.w, stream)
-            _audit_point(x, target.w_star, config.gamma)
-            if y not in (-1, 1):
-                raise EnvironmentViolation(f"label {y} outside {{-1, +1}}")
+            if audit_rounds:
+                _audit_point(x, y, target)
             score, evaluated = learner.observe(x, y)
             guess = 1 if next(heads) else -1
             if guess != y:
@@ -136,8 +163,8 @@ def run_halfspace_experiment(config, csv_path=None):
             perceptron.observe(x, y)
             if sink.fh:
                 sink.write(
-                    t, sign_of(score), y, score, evaluated.value, False, learner.mistakes,
-                    norm(learner.w),
+                    f"{t},{sign_of(score)},{y},{float(score)!r},{float(evaluated.value)!r},0,"
+                    f"{learner.mistakes},{norm(learner.w)!r}\n"
                 )
     finally:
         sink.close()
@@ -178,29 +205,30 @@ def run_bandit_experiment(config, csv_path=None):
         delta=config.delta,
         reward_cap=config.reward_cap,
     )
-    env = environments.make_bandit_environment(config.environment, target, config.k)
+    k = config.k
+    audit = functools.partial(_audit_context, target=target, k=k)
+    env = environments.make_bandit_environment(config.environment, target, k, audit)
     learner = BanditLearner(config, rng_learner)
     uniform_sum = 0.0
     greedy_sum = 0.0
     random_play = 0.0
-    arms = environments.block_rows(
-        lambda rng, n: rng.integers(config.k, size=n).tolist(), rng_base
-    )
+    arms = _draws(lambda rng, n: rng.integers(k, size=n).tolist(), rng_base)
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
             context, rewards = env.next_round(rng_env)
-            _audit_context(context, rewards, target.w_star, config)
-            feedback = learner.play_round(context, lambda arm: rewards[arm])
+            values = rewards.tolist()
+            feedback = learner.play_round(context, values.__getitem__)
             # the sum over the count is the float rewards.mean() returns
-            uniform_sum += float(rewards.sum()) / rewards.size
-            greedy_sum += float(rewards[feedback.greedy_arm])
-            random_play += float(rewards[next(arms)])
+            uniform_sum += (short_sum(values) if k < 8 else float(rewards.sum())) / k
+            greedy_sum += values[feedback.greedy_arm]
+            random_play += values[next(arms)]
             if sink.fh:
                 sink.write(
-                    t, feedback.played_arm, feedback.observed_reward, feedback.score,
-                    feedback.loss_value, feedback.explored, learner.cumulative_reward,
-                    norm(learner.w),
+                    f"{t},{feedback.played_arm},{float(feedback.observed_reward)!r},"
+                    f"{float(feedback.score)!r},{float(feedback.loss_value)!r},"
+                    f"{feedback.explored:d},{float(learner.cumulative_reward)!r},"
+                    f"{norm(learner.w)!r}\n"
                 )
     finally:
         sink.close()

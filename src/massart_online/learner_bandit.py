@@ -17,11 +17,13 @@ def select_action(w, context, rng):
     k = context.shape[1]
     if k == 0:
         raise ValueError("empty context")
-    if not w.any():
+    scores = (w @ context).tolist()
+    # max keeps the first of equal maxima, as argmax does
+    best = max(scores)
+    # a zero w scores 0.0 on every arm, so only then is w itself looked at
+    if best == 0.0 and not w.any():
         return int(rng.integers(k)), 0.0
-    scores = w @ context
-    arm = int(scores.argmax())
-    return arm, float(scores[arm])
+    return scores.index(best), best
 
 
 def fake_rewards(k, reward_cap, beta, r_beta):

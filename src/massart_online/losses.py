@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimizer import norm
+from .optimizer import norm, short_sum
 
 
 class LossEval(NamedTuple):
@@ -99,14 +99,18 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         y = rewards[alpha] - rewards[others]
         grad = -lambda_cap * (diffs[:, others] @ y)
         return LossEval(float(np.dot(w, grad)), grad)
-    sgn = (diffs.T @ v >= 0) * 2.0 - 1.0
-    Z = diffs + (rho / vnorm) * (v[:, None] * sgn)
+    sgn = np.array([1.0 if p >= 0 else -1.0 for p in (diffs.T @ v).tolist()])
+    # scaling v before the signs is exact: a product with +-1 only sets a sign
+    Z = diffs + ((rho / vnorm) * v)[:, None] * sgn
     # per-arm terms on floats, in the order of the array form, so both give
-    # the same bytes
-    den, t, r = (Z.T @ v).tolist(), (Z.T @ w).tolist(), rewards.tolist()
+    # the same bytes; the learner's reference vector is its iterate, and then
+    # the one product serves as both
+    den = (Z.T @ v).tolist()
+    t, r = den if v is w else (Z.T @ w).tolist(), rewards.tolist()
     vals, coef = [], []
     for j in others:
         tj, yj, dj = t[j], r[alpha] - r[j], abs(den[j])
         vals.append(leaky_margin_loss(delta, tj, yj) / dj)
         coef.append(leaky_margin_subgrad(delta, tj, yj) / dj)
-    return LossEval(float(np.array(vals).sum()), Z[:, others] @ np.array(coef))
+    value = short_sum(vals) if len(vals) < 8 else float(np.array(vals).sum())
+    return LossEval(value, Z[:, others] @ np.array(coef))

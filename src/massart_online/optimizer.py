@@ -22,6 +22,16 @@ def norm(v):
     return math.sqrt(v.dot(v))
 
 
+def short_sum(values):
+    """The float np.array(values).sum() returns, for fewer than 8 floats:
+    below 8 terms numpy adds them left to right from 0.0. From 8 terms on it
+    sums pairwise, and this does not match."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def project_ball(w, radius):
     """Euclidean projection onto the centered ball of the given radius."""
     if radius <= 0:

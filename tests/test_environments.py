@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from massart_online.environments import (
     random_unit,
     sorted_rewards,
 )
+from massart_online.harness import _audit_context, _audit_point
 from massart_online.losses import sign_of
 
 
@@ -29,9 +31,19 @@ def _target(d=2, rng=None, **kw):
     return HiddenTarget(w_star=random_unit(rng, d), **kw)
 
 
+def _stream(target, rng):
+    # a MarginStream whose iid blocks the harness's audit checks, as in a run
+    return MarginStream(target, rng, partial(_audit_point, target=target))
+
+
+def _context_audit(target, k):
+    # the harness's block audit of a bandit environment's contexts and rewards
+    return partial(_audit_context, target=target, k=k)
+
+
 def _boundary_points(target, learner_w, rng, n):
     # n points of the boundary adversary, drawn as a run draws them
-    stream = MarginStream(target, rng)
+    stream = _stream(target, rng)
     return [adversary_round("boundary", target, learner_w, stream)[0] for _ in range(n)]
 
 
@@ -49,7 +61,7 @@ def test_unknown_adversary_raises_config_error():
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
     for name in ("bogus", "iid_uniform_margin", ""):
         with pytest.raises(ConfigError):
-            stream = MarginStream(target, seeded_rng(0))
+            stream = _stream(target, seeded_rng(0))
             adversary_round(name, target, np.array([0.0, 1.0]), stream)
 
 
@@ -108,7 +120,7 @@ def test_infeasible_margin_rejected():
         iid_points(target, seeded_rng(0), 1)
     for name in ("iid", "boundary", "adaptive"):
         with pytest.raises(ConfigError):
-            adversary_round(name, target, np.array([0.0, 1.0]), MarginStream(target, seeded_rng(0)))
+            adversary_round(name, target, np.array([0.0, 1.0]), _stream(target, seeded_rng(0)))
 
 
 def test_massart_label_noiseless():
@@ -143,7 +155,7 @@ def test_disagreement_rate_capped_for_all_strategies(name):
     learner_w = random_unit(rng, d)
     n = 20_000
     disagree = 0
-    stream = MarginStream(target, rng)
+    stream = _stream(target, rng)
     for _ in range(n):
         x, y = adversary_round(name, target, learner_w, stream)
         disagree += y != sign_of(float(target.w_star @ x))
@@ -156,7 +168,7 @@ def test_adaptive_adversary_never_flips_when_already_wrong():
     d = 3
     target = _target(d=d, rng=rng, eta=0.5 - 1e-3, gamma=0.2)
     learner_w = random_unit(rng, d)
-    stream = MarginStream(target, rng)
+    stream = _stream(target, rng)
     for _ in range(2000):
         x, y = adversary_round("adaptive", target, learner_w, stream)
         pred = sign_of(float(learner_w @ x))
@@ -296,7 +308,7 @@ def test_monotone_rewards_infeasible_margin():
     rng = seeded_rng(17)
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.6, reward_cap=1.0)
     with pytest.raises(ConfigError):
-        MonotoneRewardEnvironment(target, 3).next_round(rng)  # 0.6 * 2 > 1
+        MonotoneRewardEnvironment(target, 3, _context_audit(target, 3)).next_round(rng)  # 0.6*2 > 1
 
 
 def test_monotone_rewards_margin_just_past_the_cap_rejected():
@@ -339,7 +351,7 @@ def test_monotone_margin_monte_carlo():
 def test_reduction_environment_margin_and_rewards():
     rng = seeded_rng(20)
     target = _target(d=4, rng=rng, gamma=0.2, delta=0.8, reward_cap=1.0)
-    env = ReductionEnvironment(target)
+    env = ReductionEnvironment(target, _context_audit(target, 2))
     assert env.eta == pytest.approx(0.1)
     for _ in range(300):
         ctx, r = env.next_round(rng)
@@ -352,7 +364,7 @@ def test_reduction_reward_gap_matches_one_minus_two_eta():
     rng = seeded_rng(21)
     delta = 0.8  # eta = 0.1
     target = _target(d=3, rng=rng, gamma=0.3, delta=delta, reward_cap=1.0)
-    env = ReductionEnvironment(target)
+    env = ReductionEnvironment(target, _context_audit(target, 2))
     n = 50_000
     gaps = []
     for _ in range(n):
@@ -368,7 +380,9 @@ def test_reduction_reward_gap_matches_one_minus_two_eta():
 def test_environment_drivers_smoke():
     rng = seeded_rng(22)
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.2, reward_cap=1.0)
-    for env in (SortedRewardEnvironment(target, 3), MonotoneRewardEnvironment(target, 3)):
+    audit = _context_audit(target, 3)
+    for env_class in (SortedRewardEnvironment, MonotoneRewardEnvironment):
+        env = env_class(target, 3, audit)
         ctx, r = env.next_round(rng)
         assert ctx.shape == (3, 3)
         assert r.shape == (3,)
@@ -425,10 +439,10 @@ def test_constructors_draw_nothing():
     rng = seeded_rng(45)
     target = _target(d=4, rng=rng, eta=0.1, gamma=0.2, delta=0.3)
     state = rng.bit_generator.state
-    MarginStream(target, rng)
-    SortedRewardEnvironment(target, 3)
-    MonotoneRewardEnvironment(target, 3)
-    ReductionEnvironment(target)
+    _stream(target, rng)
+    SortedRewardEnvironment(target, 3, _context_audit(target, 3))
+    MonotoneRewardEnvironment(target, 3, _context_audit(target, 3))
+    ReductionEnvironment(target, _context_audit(target, 2))
     assert rng.bit_generator.state == state
 
 
@@ -470,7 +484,8 @@ def test_block_environment_rewards_ranked_like_scores(name, k, delta):
     rng = seeded_rng(44)
     cap = 1.0
     target = _target(d=5, rng=rng, gamma=0.2, delta=delta, reward_cap=cap)
-    env = (SortedRewardEnvironment if name == "sorted_k" else MonotoneRewardEnvironment)(target, k)
+    env_class = SortedRewardEnvironment if name == "sorted_k" else MonotoneRewardEnvironment
+    env = env_class(target, k, _context_audit(target, k))
     noise = (cap - delta * (k - 1)) / 2.0
     base = cap / 2.0 + delta * (np.arange(k) - (k - 1) / 2.0)
     for _ in range(BLOCK + 100):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from massart_online import cli, environments, harness
 from massart_online.core import (
+    BLOCK,
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
@@ -132,65 +134,185 @@ def test_wall_time_excluded_from_digest():
     assert report_digest(r1) == report_digest(r2)
 
 
+STREAMS = ("iid", "sorted_k", "monotone_k", "reduction2")
+
+# the first, a middle and the last row of a block
+BLOCK_ROWS = (0, BLOCK // 2, BLOCK - 1)
+
+
+def _run_stream(name, **overrides):
+    # one short run on the named adversary or bandit environment
+    if name in ("iid", "boundary", "adaptive"):
+        return run_halfspace_experiment(_halfspace_config(adversary=name, **overrides))
+    k = 2 if name == "reduction2" else 3
+    return run_bandit_experiment(_bandit_config(environment=name, k=k, **overrides))
+
+
+def _corrupt_block(monkeypatch, corrupt, block=0):
+    # every oblivious stream's block number `block` passes through
+    # corrupt(*arrays) after its draw and before its audit; corrupt gets
+    # copies of the block's arrays, (points, labels) or (contexts, rewards)
+    real_block_rows = environments.block_rows
+
+    def block_rows(draw, rng, audit):
+        drawn = []
+
+        def corrupted_draw(rng, n):
+            arrays = draw(rng, n)
+            drawn.append(1)
+            if len(drawn) - 1 != block:
+                return arrays
+            return corrupt(*(np.array(a) if isinstance(a, np.ndarray) else list(a) for a in arrays))
+
+        return real_block_rows(corrupted_draw, rng, audit)
+
+    monkeypatch.setattr(environments, "block_rows", block_rows)
+
+
+def _past_the_ball(row):
+    # row scaled so that its longest point or context column has norm 1.5
+    return lambda first, _: first[row] * (1.5 / np.linalg.norm(first[row], axis=0).max())
+
+
+def _set_row(row, value):
+    # corrupt(*arrays) that puts value(arrays) into one row of the first array
+    def corrupt(first, second):
+        first[row] = value(first, second)
+        return first, second
+
+    return corrupt
+
+
+def _each_stream_and_row(monkeypatch, corrupt_row, match):
+    # for every oblivious stream and every row of BLOCK_ROWS, the block with
+    # corrupt_row(row)'s change in it stops the run
+    for name in STREAMS:
+        for row in BLOCK_ROWS:
+            monkeypatch.undo()
+            _corrupt_block(monkeypatch, corrupt_row(row))
+            with pytest.raises(EnvironmentViolation, match=match):
+                _run_stream(name)
+
+
 def test_environment_audit_catches_ball_violation(monkeypatch):
-    cfg = _halfspace_config()
-
-    def bad_round(adversary, target, learner_w, rng):
-        return target.w_star * 1.5, 1
-
-    monkeypatch.setattr(environments, "adversary_round", bad_round)
-    with pytest.raises(EnvironmentViolation):
-        run_halfspace_experiment(cfg)
-
-
-def test_environment_audit_catches_margin_violation(monkeypatch):
-    cfg = _halfspace_config(gamma=0.5)
-
-    def bad_round(adversary, target, learner_w, rng):
-        x = target.w_star * 0.1  # margin far below the promise
-        return x, 1
-
-    monkeypatch.setattr(environments, "adversary_round", bad_round)
-    with pytest.raises(EnvironmentViolation):
-        run_halfspace_experiment(cfg)
-
-
-def _corrupt_bandit_rounds(monkeypatch, corrupt):
-    # every bandit environment's round passes through corrupt(ctx, rewards)
-    real_make = environments.make_bandit_environment
-
-    class BadEnv:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def next_round(self, rng):
-            return corrupt(*self.inner.next_round(rng))
-
-    monkeypatch.setattr(
-        environments,
-        "make_bandit_environment",
-        lambda *a, **kw: BadEnv(real_make(*a, **kw)),
+    # a point, or a context column, past the unit ball
+    _each_stream_and_row(
+        monkeypatch, lambda row: _set_row(row, _past_the_ball(row)), "exceeds the unit ball"
     )
 
 
+def test_environment_audit_catches_margin_violation(monkeypatch):
+    # a point inside the margin, or two arms of one context with equal scores
+    def too_close(row):
+        def value(first, _):
+            if first.ndim == 2:
+                return first[row] * 0.01
+            context = first[row].copy()
+            context[:, 1] = context[:, 0]
+            return context
+
+        return _set_row(row, value)
+
+    _each_stream_and_row(monkeypatch, too_close, "margin|score gap")
+
+
 def test_environment_audit_catches_reward_violation(monkeypatch):
-    cfg = _bandit_config()
-    _corrupt_bandit_rounds(monkeypatch, lambda ctx, rewards: (ctx, rewards + 5.0))
-    with pytest.raises(EnvironmentViolation):
-        run_bandit_experiment(cfg)
+    # a reward past the cap, or a label outside {-1, +1}
+    def bad_reward(row):
+        def corrupt(first, second):
+            second[row] = 0 if first.ndim == 2 else second[row] + 5.0
+            return first, second
+
+        return corrupt
+
+    _each_stream_and_row(monkeypatch, bad_reward, "rewards outside|label")
 
 
 @pytest.mark.parametrize(
     "reshape",
-    [lambda ctx: ctx.ravel(), lambda ctx: ctx[:, :-1], lambda ctx: ctx.T, lambda ctx: ctx[None]],
+    [
+        lambda ctx: ctx.reshape(len(ctx), -1),
+        lambda ctx: ctx[:, :, :-1],
+        lambda ctx: ctx.transpose(0, 2, 1),
+        lambda ctx: ctx[:, None],
+    ],
     ids=["flat", "missing_arm", "transposed", "three_dim"],
 )
 def test_environment_audit_catches_context_shape_violation(reshape, monkeypatch):
-    # a context must be a (d, k) array
-    _corrupt_bandit_rounds(monkeypatch, lambda ctx, rewards: (reshape(ctx), rewards))
+    # each context of a block must be a (d, k) array
+    _corrupt_block(monkeypatch, lambda ctx, rewards: (reshape(ctx), rewards))
     with pytest.raises(EnvironmentViolation, match="context shape"):
         run_bandit_experiment(_bandit_config())
     assert cli.main(["simulate-bandit", "--t-horizon", "10"]) == 4
+
+
+@pytest.mark.parametrize("name", ["iid", "monotone_k"])
+def test_bad_row_stops_the_run_at_its_blocks_first_round(name, tmp_path, monkeypatch, capsys):
+    # the second block's last row is bad: the CSV holds the first block only
+    command = "simulate-halfspace" if name == "iid" else "simulate-bandit"
+    _corrupt_block(monkeypatch, _set_row(BLOCK - 1, _past_the_ball(BLOCK - 1)), block=1)
+    argv = [command, "--t-horizon", str(3 * BLOCK), "--out", str(tmp_path)]
+    if name != "iid":
+        argv += ["--environment", name]
+    assert cli.main(argv) == 4
+    assert "environment violation" in capsys.readouterr().err
+    rows = _csv_rows(tmp_path / "run_0.csv")
+    assert [int(r["round"]) for r in rows] == list(range(1, BLOCK + 1))
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_cli_nan_point_or_context_entry_exit_four(name, monkeypatch, capsys):
+    def nan_entry(first, second):
+        first[BLOCK // 2].flat[0] = np.nan
+        return first, second
+
+    _corrupt_block(monkeypatch, nan_entry)
+    if name == "iid":
+        argv = ["simulate-halfspace", "--t-horizon", "50"]
+    else:
+        argv = ["simulate-bandit", "--t-horizon", "50", "--environment", name]
+        argv += ["--k", "2"] if name == "reduction2" else []
+    assert cli.main(argv) == 4
+    assert "environment violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adversary", ["boundary", "adaptive"])
+def test_cli_nan_boundary_point_exit_four(adversary, monkeypatch, capsys):
+    def nan_round(adversary, target, learner_w, stream):
+        return np.full(target.w_star.shape, np.nan), 1
+
+    monkeypatch.setattr(environments, "adversary_round", nan_round)
+    argv = ["simulate-halfspace", "--t-horizon", "50", "--adversary", adversary]
+    assert cli.main(argv) == 4
+    assert "environment violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sorted_k", "monotone_k", "reduction2"])
+def test_cli_nan_reward_exit_four(name, monkeypatch, capsys):
+    def nan_reward(contexts, rewards):
+        rewards[BLOCK - 1, 0] = np.nan
+        return contexts, rewards
+
+    _corrupt_block(monkeypatch, nan_reward)
+    argv = ["simulate-bandit", "--t-horizon", "50", "--environment", name]
+    argv += ["--k", "2"] if name == "reduction2" else []
+    assert cli.main(argv) == 4
+    assert "environment violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,t_horizon,audits",
+    [("iid", 600, 3), ("monotone_k", 512, 2), ("sorted_k", 1, 1), ("boundary", 37, 37)],
+)
+def test_audit_runs_once_per_oblivious_block_and_every_boundary_round(
+    name, t_horizon, audits, monkeypatch
+):
+    # ceil(T / BLOCK) block audits on an oblivious stream, T round audits
+    # where the adversary reads the iterate
+    audit = "_audit_context" if name.endswith("_k") else "_audit_point"
+    calls = _count_calls(monkeypatch, harness, audit)
+    _run_stream(name, t_horizon=t_horizon)
+    assert len(calls) == audits
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -250,7 +372,9 @@ def test_inline_perceptron_matches_standalone():
     target = environments.HiddenTarget(
         w_star=environments.random_unit(rng_env, cfg.d), eta=cfg.eta, gamma=cfg.gamma
     )
-    source = environments.MarginStream(target, rng_env)
+    source = environments.MarginStream(
+        target, rng_env, functools.partial(harness._audit_point, target=target)
+    )
     learner = HalfspaceLearner(cfg)
     stream = []
     for _ in range(cfg.t_horizon):
@@ -260,16 +384,17 @@ def test_inline_perceptron_matches_standalone():
     assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
 
 
-def _audited(monkeypatch, name):
-    # copies of the first argument of every call of the named harness audit
+def _drawn(monkeypatch, owner, name, index=0):
+    # copies of value number index of each round that owner.name returns
     seen = []
-    original = getattr(harness, name)
+    original = getattr(owner, name)
 
-    def record(first, *rest):
-        seen.append(first.copy())
-        return original(first, *rest)
+    def record(*args):
+        row = original(*args)
+        seen.append(row[index].copy())
+        return row
 
-    monkeypatch.setattr(harness, name, record)
+    monkeypatch.setattr(owner, name, record)
     return seen
 
 
@@ -277,11 +402,13 @@ def test_iid_stream_prefix_does_not_depend_on_horizon(tmp_path, monkeypatch):
     # blocks are always full, so round t's draw depends on the seed and t only
     observed, points = [], []
     for t_horizon in (300, 1000):
-        audited = _audited(monkeypatch, "_audit_point")
+        drawn = _drawn(monkeypatch, environments, "adversary_round")
         path = tmp_path / f"run_{t_horizon}.csv"
         run_halfspace_experiment(_halfspace_config(t_horizon=t_horizon), csv_path=str(path))
         observed.append([row["observed"] for row in _csv_rows(path)][:300])
-        points.append(np.array(audited[:300]))
+        points.append(np.array(drawn[:300]))
+        monkeypatch.undo()
+    assert points[0].shape == (300, 6)
     assert observed[0] == observed[1]
     assert points[0].tobytes() == points[1].tobytes()
 
@@ -289,11 +416,30 @@ def test_iid_stream_prefix_does_not_depend_on_horizon(tmp_path, monkeypatch):
 def test_monotone_stream_prefix_does_not_depend_on_horizon(monkeypatch):
     contexts = []
     for t_horizon in (300, 1000):
-        audited = _audited(monkeypatch, "_audit_context")
+        drawn = _drawn(monkeypatch, environments.MonotoneRewardEnvironment, "next_round")
         run_bandit_experiment(_bandit_config(t_horizon=t_horizon))
-        contexts.append(np.array(audited[:300]))
+        contexts.append(np.array(drawn[:300]))
+        monkeypatch.undo()
     assert contexts[0].shape == (300, 5, 3)
     assert contexts[0].tobytes() == contexts[1].tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_uniform_arm_mean_matches_array_form_bytes(k, monkeypatch):
+    # the per-round float(rewards.sum()) / rewards.size the baseline once
+    # added; from k = 8 on numpy sums pairwise, not left to right. A long
+    # run's total rounds a 1-ulp slip of one round away, so one-round runs
+    # of many seeds check each round's term too.
+    drawn = _drawn(monkeypatch, environments.SortedRewardEnvironment, "next_round", index=1)
+    for seed, t_horizon in [(0, 300)] + [(seed, 1) for seed in range(1, 41)]:
+        drawn.clear()
+        cfg = _bandit_config(environment="sorted_k", k=k, gamma=0.1, t_horizon=t_horizon)
+        report = run_bandit_experiment(dataclasses.replace(cfg, seed=seed))
+        expected = 0.0
+        for rewards in drawn:
+            expected += float(rewards.sum()) / rewards.size
+        assert len(drawn) == t_horizon
+        assert report["baselines"]["uniform_arm_mean"].hex() == expected.hex()
 
 
 def test_perceptron_worse_than_learner_on_noisy_boundary_stream():
@@ -334,7 +480,9 @@ def test_zero_margin_environment_no_exploitable_signal(monkeypatch):
     monkeypatch.setattr(
         environments,
         "make_bandit_environment",
-        lambda name, target, k: make(name, dataclasses.replace(target, delta=0.0), k),
+        lambda name, target, k, audit: make(
+            name, dataclasses.replace(target, delta=0.0), k, audit
+        ),
     )
     t_horizon = 20_000
     cfg = _bandit_config(d=4, t_horizon=t_horizon)
@@ -395,7 +543,7 @@ def test_cli_environment_violation_exit_four(monkeypatch):
         return target.w_star * 2.0, 1
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
-    code = cli.main(["simulate-halfspace", "--t-horizon", "10"])
+    code = cli.main(["simulate-halfspace", "--t-horizon", "10", "--adversary", "boundary"])
     assert code == 4
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from massart_online.environments import (
     massart_labels,
     random_unit,
 )
+from massart_online.harness import _audit_context
 from massart_online.learner_bandit import BanditLearner, fake_rewards, select_action
 from massart_online.optimizer import norm
 from massart_online.oracles import (
@@ -63,6 +65,26 @@ def test_select_action_returns_the_argmax_score_of_its_one_product():
         assert arm == int(scores.argmax())
         assert type(score) is float
         assert np.float64(score).tobytes() == np.float64(scores[arm]).tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_select_action_matches_argmax_bytes(k):
+    # the arm and score bytes that argmax gives on the same product: random
+    # contexts, contexts with a tied copy of the best column, and contexts
+    # whose scores are all +0.0 or -0.0
+    rng = seeded_rng(60 + k)
+    for trial in range(300):
+        w = rng.normal(size=4)
+        ctx = rng.uniform(-1.0, 1.0, (4, k))
+        if trial % 3 == 1:
+            ctx[:, rng.integers(k)] = ctx[:, int((w @ ctx).argmax())]
+        elif trial % 3 == 2:
+            w = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0, 0.0])
+            ctx = rng.choice([0.0, -0.0], (4, k))
+        arm, score = select_action(w, ctx, rng)
+        scores = w @ ctx
+        assert arm == int(scores.argmax())
+        assert np.float64(score).tobytes() == scores[arm].tobytes()
 
 
 def test_select_action_zero_weight_scores_zero():
@@ -123,7 +145,7 @@ def test_reduce_classification_examples():
     # each round of the 2-arm reduction is a labeled iid point (x, y) of the
     # halfspace stream: context (x, -x) byte for byte, rewards ((1+y)/2, (1-y)/2)
     target = HiddenTarget(w_star=random_unit(seeded_rng(50), 4), gamma=0.2, delta=0.8)
-    env = ReductionEnvironment(target)
+    env = ReductionEnvironment(target, partial(_audit_context, target=target, k=2))
     rng_env, rng_ref = seeded_rng(51), seeded_rng(51)
     points, labels = [], []
     for _ in range(2):  # two blocks, so the second block is checked too

@@ -234,6 +234,22 @@ def test_arm_gap_loss_matches_array_form_bytes(d, k):
         assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_arm_gap_loss_iterate_as_reference_matches_array_form_bytes(k):
+    # the learner passes its iterate as v, and arm_gap_loss then takes one
+    # product for both the scores and the denominators
+    rng = seeded_rng(41)
+    for _ in range(200):
+        w = rng.standard_normal(10)
+        kw = dict(
+            X=rng.uniform(-0.5, 0.5, (10, k)), v=w, rewards=rng.uniform(0.0, 2.0, k),
+            alpha=int(rng.integers(k)), delta=0.5, rho=0.1, lambda_cap=1.0,
+        )
+        value, subgrad = _arm_gap_loss_array_form(w, kw)
+        out = arm_gap_loss(w, **kw)
+        assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
+
+
 def test_arm_gap_loss_main_branch_hand_example():
     # x_1 - x_2 = (0.5, 0); v = e1, rho = 0.1 -> z_2 = (0.6, 0)
     out = arm_gap_loss(
