@@ -23,6 +23,7 @@ from .core import (
 )
 from .harness import (
     EnvironmentViolation,
+    check_output_path,
     report_json,
     run_bandit_experiment,
     run_halfspace_experiment,
@@ -42,9 +43,9 @@ _KEY_TYPES = {f.name: f.type for cls in (HalfspaceConfig, BanditConfig) for f in
 _KEY_CHOICES = {"adversary": ADVERSARIES, "environment": ENVIRONMENTS}
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, keys):
     parser.add_argument("--config", help="flat JSON key/value config file")
-    for key in CONFIG_KEYS:
+    for key in keys:
         flag = "--" + key.replace("_", "-")
         if key in _KEY_CHOICES:
             parser.add_argument(flag, choices=_KEY_CHOICES[key])
@@ -63,52 +64,34 @@ def _merged_mapping(args):
     return mapping
 
 
-def _out_dir(args):
-    if not args.out:
-        return None
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {args.out} as a directory: {exc}") from exc
-    return out
-
-
 def _run_experiment(args, runner, config):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    out = _out_dir(args)
+    out = args.out or None
+    # run_many checks the CSV paths, and this the report's, before any round
+    report_path = Path(out) / "report.json" if out else None
+    if report_path:
+        check_output_path(report_path)
     seeds = [config.seed + i for i in range(args.seeds)]
-    if out is not None:
-        # a directory where an output file goes fails here, before any round
-        for path in [out / "report.json"] + [out / f"run_{seed}.csv" for seed in seeds]:
-            if path.is_dir():
-                raise ConfigError(f"cannot write --out file {path}: it is a directory")
-    if args.seeds > 1:
-        report = run_many(runner, config, seeds, out_dir=out)
-    elif out is not None:
-        report = runner(config, csv_path=str(out / f"run_{config.seed}.csv"))
-    else:
-        report = runner(config)
-    if out is not None:
-        write_report(report, out / "report.json")
+    report = run_many(runner, config, seeds, out_dir=out)
+    if args.seeds == 1:
+        (report,) = report["per_seed"]
+    if report_path:
+        write_report(report, report_path)
     print(report_json(report))
     return EXIT_OK
 
 
 def _cmd_simulate_halfspace(args):
     mapping = _merged_mapping(args)
-    env = mapping.get("environment", "massart2")
-    if env != "massart2":
+    # no flag sets it, but a config file may
+    if mapping.get("environment", "massart2") != "massart2":
         raise ConfigError("simulate-halfspace runs the massart2 environment only")
     return _run_experiment(args, run_halfspace_experiment, halfspace_config_from(mapping))
 
 
 def _cmd_simulate_bandit(args):
-    mapping = _merged_mapping(args)
-    if mapping.get("environment") == "massart2":
-        raise ConfigError("simulate-bandit needs a bandit environment, not massart2")
-    return _run_experiment(args, run_bandit_experiment, bandit_config_from(mapping))
+    return _run_experiment(args, run_bandit_experiment, bandit_config_from(_merged_mapping(args)))
 
 
 def _cmd_verify(args):
@@ -146,12 +129,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-        ("simulate-halfspace", _cmd_simulate_halfspace, "run the noisy-halfspace learner"),
-        ("simulate-bandit", _cmd_simulate_bandit, "run the k-arm learner"),
+    for name, func, cls, text in (
+        ("simulate-halfspace", _cmd_simulate_halfspace, HalfspaceConfig,
+         "run the noisy-halfspace learner"),
+        ("simulate-bandit", _cmd_simulate_bandit, BanditConfig, "run the k-arm learner"),
     ):
         p_sim = sub.add_parser(name, help=text)
-        _add_config_flags(p_sim)
+        _add_config_flags(p_sim, [f.name for f in fields(cls) if f.init])
         p_sim.add_argument("--seeds", type=int, default=1, help="fan out over this many seeds")
         p_sim.add_argument("--out", help="directory for run_<seed>.csv and report.json")
         p_sim.set_defaults(func=func)
@@ -162,7 +146,8 @@ def build_parser():
     p_verify.set_defaults(func=_cmd_verify)
 
     p_base = sub.add_parser("baseline", help="report baseline metrics for a config")
-    _add_config_flags(p_base)
+    # baseline picks its config class by environment, so it reads every key
+    _add_config_flags(p_base, CONFIG_KEYS)
     p_base.set_defaults(func=_cmd_baseline)
 
     return parser

@@ -135,7 +135,7 @@ def _boundary_point(target, learner_w, rng):
     w_star = target.w_star
     gamma = target.gamma
     d = w_star.shape[0]
-    lnorm = norm(learner_w) if learner_w is not None else 0.0
+    lnorm = norm(learner_w)
     if lnorm == 0.0:
         return iid_points(target, rng, 1)[0]
     wh = learner_w / lnorm
@@ -176,29 +176,32 @@ def _labeled_iid(target, rng, n):
 
 
 class MarginStream:
-    """One run's source of halfspace rounds: the generator that boundary and
-    adaptive rounds draw from each round, and the iid rounds, served from
-    blocks of labeled points; audit(points, labels) checks each block."""
+    """One run's halfspace rounds under one adversary, its name and the margin
+    checked once: the generator that boundary and adaptive rounds draw from,
+    and the iid rounds, served from blocks that audit(points, labels) checks."""
 
-    def __init__(self, target, rng, audit):
+    def __init__(self, adversary, target, rng, audit):
+        if adversary not in ADVERSARIES:
+            raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
+        _check_margin(target.gamma)
+        self.adversary = adversary
+        self.target = target
         self.rng = rng
         self.iid = block_rows(lambda rng, n: _labeled_iid(target, rng, n), rng, audit)
 
 
-def adversary_round(adversary, target, learner_w, stream):
+def adversary_round(stream, learner_w):
     """One round's (x, y), point plus label, from the run's MarginStream;
-    the adaptive adversary sees learner_w."""
+    the adaptive adversary sees the iterate learner_w."""
+    adversary = stream.adversary
     if adversary == "iid":
         return next(stream.iid)
-    if adversary not in ADVERSARIES:
-        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
-    _check_margin(target.gamma)
-    rng = stream.rng
+    target, rng = stream.target, stream.rng
     x = _boundary_point(target, learner_w, rng)
     if adversary == "adaptive":
         # flip only where it can cause a mistake, staying under the eta cap
         clean = sign_of(float(target.w_star.dot(x)))
-        pred = sign_of(float(learner_w.dot(x))) if learner_w is not None else 1
+        pred = sign_of(float(learner_w.dot(x)))
         eta_t = target.eta if pred == clean else 0.0
         return x, massart_label(target, x, eta_t, rng)
     return x, massart_label(target, x, target.eta, rng)
@@ -266,25 +269,21 @@ def monotone_rewards(target, ranks, rng):
 
 
 class _BlockEnvironment:
-    """Serves one round per next_round call from blocks drawn by the
+    """Serves one round per next_round() call from blocks drawn by the
     subclass's _block(rng, n), each checked by audit(contexts, rewards); the
     first call draws the first block."""
 
-    _rows = None
+    def __init__(self, target, k, rng, audit):
+        self.target = target
+        self.k = k
+        self._rows = block_rows(self._block, rng, audit)
 
-    def next_round(self, rng):
-        if self._rows is None:
-            self._rows = block_rows(self._block, rng, self.audit)
+    def next_round(self):
         return next(self._rows)
 
 
 class SortedRewardEnvironment(_BlockEnvironment):
     """Contexts from context_block, rewards sampled already sorted."""
-
-    def __init__(self, target, k, audit):
-        self.target = target
-        self.k = k
-        self.audit = audit
 
     def _block(self, rng, n):
         contexts, ranks = context_block(self.target, self.k, rng, n)
@@ -298,11 +297,6 @@ class SortedRewardEnvironment(_BlockEnvironment):
 class MonotoneRewardEnvironment(_BlockEnvironment):
     """Contexts from context_block, rank-linear rewards with margin delta and
     the widest noise that keeps them inside [0, reward_cap]."""
-
-    def __init__(self, target, k, audit):
-        self.target = target
-        self.k = k
-        self.audit = audit
 
     def _block(self, rng, n):
         contexts, ranks = context_block(self.target, self.k, rng, n)
@@ -319,21 +313,21 @@ def _reduction_block(points, labels):
 
 
 class ReductionEnvironment(_BlockEnvironment):
-    """2-arm view of the noisy halfspace stream.
+    """2-arm view of the noisy halfspace stream (k is 2).
 
     Contexts are (x, -x) for a margin-gamma/2 point x, rewards are
     ((1+y)/2, (1-y)/2) for the noisy label y, which makes the reward margin
     1 - 2*eta with eta = (1 - delta)/2.
     """
 
-    def __init__(self, target, audit):
-        self.audit = audit
-        self.eta = (1.0 - target.delta) / 2.0
-        self.point_target = HiddenTarget(
-            w_star=target.w_star,
-            eta=self.eta,
-            gamma=target.gamma / 2.0,
-        )
+    @property
+    def eta(self):
+        return (1.0 - self.target.delta) / 2.0
+
+    @property
+    def point_target(self):
+        # the halfspace stream's target: margin gamma/2, flip rate eta
+        return HiddenTarget(w_star=self.target.w_star, eta=self.eta, gamma=self.target.gamma / 2.0)
 
     def _block(self, rng, n):
         return _reduction_block(*_labeled_iid(self.point_target, rng, n))
@@ -341,12 +335,12 @@ class ReductionEnvironment(_BlockEnvironment):
     next_round = _BlockEnvironment.next_round
 
 
-def make_bandit_environment(name, target, k, audit):
-    """The named environment; audit(contexts, rewards) checks each block."""
+def make_bandit_environment(name, target, k, rng, audit):
+    """The named environment on rng; audit(contexts, rewards) checks each block."""
     if name == "sorted_k":
-        return SortedRewardEnvironment(target, k, audit)
+        return SortedRewardEnvironment(target, k, rng, audit)
     if name == "monotone_k":
-        return MonotoneRewardEnvironment(target, k, audit)
+        return MonotoneRewardEnvironment(target, k, rng, audit)
     if name == "reduction2":
-        return ReductionEnvironment(target, audit)
+        return ReductionEnvironment(target, k, rng, audit)
     raise ConfigError(f"unknown bandit environment {name!r}")

@@ -25,7 +25,7 @@ from .core import BLOCK, ConfigError, config_dict, spawn_streams
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
 from .losses import sign_of
-from .optimizer import norm, short_sum
+from .optimizer import float_sum, norm
 
 CSV_HEADER = "round,action,observed,score,loss,explored,cum_metric,w_norm"
 
@@ -146,14 +146,14 @@ def run_halfspace_experiment(config, csv_path=None):
     perceptron = _Perceptron(config.d)
     random_mistakes = 0
     audit = functools.partial(_audit_point, target=target)
-    stream = environments.MarginStream(target, rng_env, audit)
+    stream = environments.MarginStream(config.adversary, target, rng_env, audit)
     # iid rows reach the loop audited with their block
     audit_rounds = config.adversary != "iid"
     heads = _draws(lambda rng, n: (rng.random(n) < 0.5).tolist(), rng_base)
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
-            x, y = environments.adversary_round(config.adversary, target, learner.w, stream)
+            x, y = environments.adversary_round(stream, learner.w)
             if audit_rounds:
                 _audit_point(x, y, target)
             score, evaluated = learner.observe(x, y)
@@ -207,7 +207,7 @@ def run_bandit_experiment(config, csv_path=None):
     )
     k = config.k
     audit = functools.partial(_audit_context, target=target, k=k)
-    env = environments.make_bandit_environment(config.environment, target, k, audit)
+    env = environments.make_bandit_environment(config.environment, target, k, rng_env, audit)
     learner = BanditLearner(config, rng_learner)
     uniform_sum = 0.0
     greedy_sum = 0.0
@@ -216,11 +216,11 @@ def run_bandit_experiment(config, csv_path=None):
     sink = _CsvSink(csv_path)
     try:
         for t in range(1, config.t_horizon + 1):
-            context, rewards = env.next_round(rng_env)
+            context, rewards = env.next_round()
             values = rewards.tolist()
             feedback = learner.play_round(context, values.__getitem__)
             # the sum over the count is the float rewards.mean() returns
-            uniform_sum += (short_sum(values) if k < 8 else float(rewards.sum())) / k
+            uniform_sum += float_sum(values) / k
             greedy_sum += values[feedback.greedy_arm]
             random_play += values[next(arms)]
             if sink.fh:
@@ -260,8 +260,9 @@ def run_bandit_experiment(config, csv_path=None):
 
 def run_many(runner, config, seeds, out_dir=None):
     """Run one config across distinct seeds (any iterable, run in sorted
-    order, so aggregation is order-free); out_dir, a str or a Path, gets
-    run_<seed>.csv per seed."""
+    order, so aggregation is order-free); out_dir, a str or a Path, is
+    created and gets run_<seed>.csv per seed. Every input, out_dir's paths
+    included, is checked before the first run."""
     # each seed's config checks its seed, so a bad one fails before any run
     configs = sorted(
         (dataclasses.replace(config, seed=seed) for seed in seeds), key=lambda c: c.seed
@@ -271,12 +272,17 @@ def run_many(runner, config, seeds, out_dir=None):
     ordered = [cfg.seed for cfg in configs]
     if len(set(ordered)) < len(ordered):
         raise ConfigError(f"run_many needs distinct seeds, got {ordered}")
-    per_seed = []
-    for cfg in configs:
-        csv_path = None
-        if out_dir is not None:
-            csv_path = str(Path(out_dir) / f"run_{cfg.seed}.csv")
-        per_seed.append(runner(cfg, csv_path=csv_path))
+    csv_paths = [None] * len(configs)
+    if out_dir is not None:
+        out = Path(out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {out} as an output directory: {exc}") from exc
+        csv_paths = [str(out / f"run_{seed}.csv") for seed in ordered]
+        for path in csv_paths:
+            check_output_path(path)
+    per_seed = [runner(cfg, csv_path=path) for cfg, path in zip(configs, csv_paths)]
     metric = "total_mistakes" if per_seed[0]["kind"] == "halfspace" else "total_reward"
     return {
         "kind": per_seed[0]["kind"] + "_multi",
@@ -284,6 +290,12 @@ def run_many(runner, config, seeds, out_dir=None):
         "mean_" + metric: float(np.mean([r[metric] for r in per_seed])),
         "per_seed": per_seed,
     }
+
+
+def check_output_path(path):
+    """ConfigError if a directory stands where the output file path goes."""
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def report_digest(report):

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimizer import norm, short_sum
+from .optimizer import float_sum, norm
 
 
 class LossEval(NamedTuple):
@@ -112,5 +112,4 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         tj, yj, dj = t[j], r[alpha] - r[j], abs(den[j])
         vals.append(leaky_margin_loss(delta, tj, yj) / dj)
         coef.append(leaky_margin_subgrad(delta, tj, yj) / dj)
-    value = short_sum(vals) if len(vals) < 8 else float(np.array(vals).sum())
-    return LossEval(value, Z[:, others] @ np.array(coef))
+    return LossEval(float_sum(vals), Z[:, others] @ np.array(coef))

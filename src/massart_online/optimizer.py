@@ -22,10 +22,12 @@ def norm(v):
     return math.sqrt(v.dot(v))
 
 
-def short_sum(values):
-    """The float np.array(values).sum() returns, for fewer than 8 floats:
-    below 8 terms numpy adds them left to right from 0.0. From 8 terms on it
-    sums pairwise, and this does not match."""
+def float_sum(values):
+    """The float np.array(values).sum() returns for a list of floats: below 8
+    terms numpy adds them left to right from 0.0, as this loop does; from 8
+    on it sums pairwise, so those go to numpy."""
+    if len(values) >= 8:
+        return float(np.array(values).sum())
     total = 0.0
     for value in values:
         total += value

@@ -16,6 +16,7 @@ from massart_online.environments import (
     context_block,
     gen_context,
     iid_points,
+    make_bandit_environment,
     massart_label,
     massart_labels,
     monotone_rewards,
@@ -31,9 +32,9 @@ def _target(d=2, rng=None, **kw):
     return HiddenTarget(w_star=random_unit(rng, d), **kw)
 
 
-def _stream(target, rng):
+def _stream(target, rng, adversary="iid"):
     # a MarginStream whose iid blocks the harness's audit checks, as in a run
-    return MarginStream(target, rng, partial(_audit_point, target=target))
+    return MarginStream(adversary, target, rng, partial(_audit_point, target=target))
 
 
 def _context_audit(target, k):
@@ -43,8 +44,8 @@ def _context_audit(target, k):
 
 def _boundary_points(target, learner_w, rng, n):
     # n points of the boundary adversary, drawn as a run draws them
-    stream = _stream(target, rng)
-    return [adversary_round("boundary", target, learner_w, stream)[0] for _ in range(n)]
+    stream = _stream(target, rng, "boundary")
+    return [adversary_round(stream, learner_w)[0] for _ in range(n)]
 
 
 def _score_ranks(target, ctx, n=1):
@@ -61,8 +62,30 @@ def test_unknown_adversary_raises_config_error():
     target = HiddenTarget(w_star=np.array([1.0, 0.0]), gamma=0.5)
     for name in ("bogus", "iid_uniform_margin", ""):
         with pytest.raises(ConfigError):
-            stream = _stream(target, seeded_rng(0))
-            adversary_round(name, target, np.array([0.0, 1.0]), stream)
+            stream = _stream(target, seeded_rng(0), name)
+            adversary_round(stream, np.array([0.0, 1.0]))
+
+
+def test_boundary_with_a_zero_iterate_draws_an_iid_point():
+    # nothing to hug: the round is an iid margin point, labeled as usual
+    d = 5
+    target = _target(d=d, rng=seeded_rng(46), eta=0.2, gamma=0.3)
+    stream = _stream(target, seeded_rng(47), "boundary")
+    reference = seeded_rng(47)
+    for _ in range(20):
+        x, y = adversary_round(stream, np.zeros(d))
+        _audit_point(x, y, target)
+        assert y in (-1, 1)
+        assert x.tobytes() == iid_points(target, reference, 1)[0].tobytes()
+        massart_label(target, x, target.eta, reference)  # keeps the reference in step
+
+
+def test_unknown_bandit_environment_raises_config_error():
+    target = _target(d=3, gamma=0.2, delta=0.3)
+    rng = seeded_rng(0)
+    for name in ("massart2", "bogus", ""):
+        with pytest.raises(ConfigError, match="unknown bandit environment"):
+            make_bandit_environment(name, target, 3, rng, _context_audit(target, 3))
 
 
 def test_iid_points_respect_ball_and_margin():
@@ -120,7 +143,7 @@ def test_infeasible_margin_rejected():
         iid_points(target, seeded_rng(0), 1)
     for name in ("iid", "boundary", "adaptive"):
         with pytest.raises(ConfigError):
-            adversary_round(name, target, np.array([0.0, 1.0]), _stream(target, seeded_rng(0)))
+            adversary_round(_stream(target, seeded_rng(0), name), np.array([0.0, 1.0]))
 
 
 def test_massart_label_noiseless():
@@ -155,9 +178,9 @@ def test_disagreement_rate_capped_for_all_strategies(name):
     learner_w = random_unit(rng, d)
     n = 20_000
     disagree = 0
-    stream = _stream(target, rng)
+    stream = _stream(target, rng, name)
     for _ in range(n):
-        x, y = adversary_round(name, target, learner_w, stream)
+        x, y = adversary_round(stream, learner_w)
         disagree += y != sign_of(float(target.w_star @ x))
     sigma = math.sqrt(0.15 * 0.85 / n)
     assert disagree / n <= 0.15 + 3 * sigma
@@ -168,9 +191,9 @@ def test_adaptive_adversary_never_flips_when_already_wrong():
     d = 3
     target = _target(d=d, rng=rng, eta=0.5 - 1e-3, gamma=0.2)
     learner_w = random_unit(rng, d)
-    stream = _stream(target, rng)
+    stream = _stream(target, rng, "adaptive")
     for _ in range(2000):
-        x, y = adversary_round("adaptive", target, learner_w, stream)
+        x, y = adversary_round(stream, learner_w)
         pred = sign_of(float(learner_w @ x))
         clean = sign_of(float(target.w_star @ x))
         if pred != clean:
@@ -307,8 +330,8 @@ def test_monotone_rewards_zero_width_exact_base_draws_nothing(k, delta, cap):
 def test_monotone_rewards_infeasible_margin():
     rng = seeded_rng(17)
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.6, reward_cap=1.0)
-    with pytest.raises(ConfigError):
-        MonotoneRewardEnvironment(target, 3, _context_audit(target, 3)).next_round(rng)  # 0.6*2 > 1
+    with pytest.raises(ConfigError):  # 0.6*2 > 1
+        MonotoneRewardEnvironment(target, 3, rng, _context_audit(target, 3)).next_round()
 
 
 def test_monotone_rewards_margin_just_past_the_cap_rejected():
@@ -351,10 +374,10 @@ def test_monotone_margin_monte_carlo():
 def test_reduction_environment_margin_and_rewards():
     rng = seeded_rng(20)
     target = _target(d=4, rng=rng, gamma=0.2, delta=0.8, reward_cap=1.0)
-    env = ReductionEnvironment(target, _context_audit(target, 2))
+    env = ReductionEnvironment(target, 2, rng, _context_audit(target, 2))
     assert env.eta == pytest.approx(0.1)
     for _ in range(300):
-        ctx, r = env.next_round(rng)
+        ctx, r = env.next_round()
         scores = target.w_star @ ctx
         assert abs(scores[0] - scores[1]) >= 0.2 - 1e-12
         assert sorted(r.tolist()) == [0.0, 1.0]
@@ -364,11 +387,11 @@ def test_reduction_reward_gap_matches_one_minus_two_eta():
     rng = seeded_rng(21)
     delta = 0.8  # eta = 0.1
     target = _target(d=3, rng=rng, gamma=0.3, delta=delta, reward_cap=1.0)
-    env = ReductionEnvironment(target, _context_audit(target, 2))
+    env = ReductionEnvironment(target, 2, rng, _context_audit(target, 2))
     n = 50_000
     gaps = []
     for _ in range(n):
-        ctx, r = env.next_round(rng)
+        ctx, r = env.next_round()
         scores = target.w_star @ ctx
         hi = int(scores[0] < scores[1])
         gaps.append(r[hi] - r[1 - hi])
@@ -382,8 +405,8 @@ def test_environment_drivers_smoke():
     target = _target(d=3, rng=rng, gamma=0.2, delta=0.2, reward_cap=1.0)
     audit = _context_audit(target, 3)
     for env_class in (SortedRewardEnvironment, MonotoneRewardEnvironment):
-        env = env_class(target, 3, audit)
-        ctx, r = env.next_round(rng)
+        env = env_class(target, 3, rng, audit)
+        ctx, r = env.next_round()
         assert ctx.shape == (3, 3)
         assert r.shape == (3,)
 
@@ -440,9 +463,9 @@ def test_constructors_draw_nothing():
     target = _target(d=4, rng=rng, eta=0.1, gamma=0.2, delta=0.3)
     state = rng.bit_generator.state
     _stream(target, rng)
-    SortedRewardEnvironment(target, 3, _context_audit(target, 3))
-    MonotoneRewardEnvironment(target, 3, _context_audit(target, 3))
-    ReductionEnvironment(target, _context_audit(target, 2))
+    SortedRewardEnvironment(target, 3, rng, _context_audit(target, 3))
+    MonotoneRewardEnvironment(target, 3, rng, _context_audit(target, 3))
+    ReductionEnvironment(target, 2, rng, _context_audit(target, 2))
     assert rng.bit_generator.state == state
 
 
@@ -485,11 +508,11 @@ def test_block_environment_rewards_ranked_like_scores(name, k, delta):
     cap = 1.0
     target = _target(d=5, rng=rng, gamma=0.2, delta=delta, reward_cap=cap)
     env_class = SortedRewardEnvironment if name == "sorted_k" else MonotoneRewardEnvironment
-    env = env_class(target, k, _context_audit(target, k))
+    env = env_class(target, k, rng, _context_audit(target, k))
     noise = (cap - delta * (k - 1)) / 2.0
     base = cap / 2.0 + delta * (np.arange(k) - (k - 1) / 2.0)
     for _ in range(BLOCK + 100):
-        ctx, r = env.next_round(rng)
+        ctx, r = env.next_round()
         ranked = r[np.argsort(target.w_star @ ctx)]
         if name == "sorted_k":
             assert np.all(np.diff(ranked) >= 0)

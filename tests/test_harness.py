@@ -9,6 +9,7 @@ import pytest
 from massart_online import cli, environments, harness
 from massart_online.core import (
     BLOCK,
+    CONFIG_KEYS,
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
@@ -278,8 +279,8 @@ def test_cli_nan_point_or_context_entry_exit_four(name, monkeypatch, capsys):
 
 @pytest.mark.parametrize("adversary", ["boundary", "adaptive"])
 def test_cli_nan_boundary_point_exit_four(adversary, monkeypatch, capsys):
-    def nan_round(adversary, target, learner_w, stream):
-        return np.full(target.w_star.shape, np.nan), 1
+    def nan_round(stream, learner_w):
+        return np.full(stream.target.w_star.shape, np.nan), 1
 
     monkeypatch.setattr(environments, "adversary_round", nan_round)
     argv = ["simulate-halfspace", "--t-horizon", "50", "--adversary", adversary]
@@ -373,12 +374,12 @@ def test_inline_perceptron_matches_standalone():
         w_star=environments.random_unit(rng_env, cfg.d), eta=cfg.eta, gamma=cfg.gamma
     )
     source = environments.MarginStream(
-        target, rng_env, functools.partial(harness._audit_point, target=target)
+        cfg.adversary, target, rng_env, functools.partial(harness._audit_point, target=target)
     )
     learner = HalfspaceLearner(cfg)
     stream = []
     for _ in range(cfg.t_horizon):
-        x, y = environments.adversary_round(cfg.adversary, target, learner.w, source)
+        x, y = environments.adversary_round(source, learner.w)
         stream.append((x, y))
         learner.observe(x, y)
     assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
@@ -480,8 +481,8 @@ def test_zero_margin_environment_no_exploitable_signal(monkeypatch):
     monkeypatch.setattr(
         environments,
         "make_bandit_environment",
-        lambda name, target, k, audit: make(
-            name, dataclasses.replace(target, delta=0.0), k, audit
+        lambda name, target, k, rng, audit: make(
+            name, dataclasses.replace(target, delta=0.0), k, rng, audit
         ),
     )
     t_horizon = 20_000
@@ -535,12 +536,56 @@ def test_cli_config_error_exit_two(capsys):
     assert cli.main(["simulate-halfspace", "--d", "0", "--t-horizon", "10"]) == 2
     assert cli.main(["simulate-halfspace", "--eta", "0.7", "--t-horizon", "10"]) == 2
     assert cli.main(["simulate-bandit", "--environment", "massart2"]) == 2
-    assert cli.main(["simulate-halfspace", "--environment", "sorted_k"]) == 2
+
+
+def test_cli_halfspace_bandit_environment_in_config_file_exit_two(tmp_path, capsys):
+    # a config file may hold either class's keys, but a halfspace run is massart2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"environment": "sorted_k"}')
+    assert cli.main(["simulate-halfspace", "--t-horizon", "5", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "massart2 environment only" in captured.err
+    assert captured.out == ""
+
+
+# the flags of the other config class, which each simulate command does not read
+CROSS_KIND_FLAGS = [
+    ("simulate-halfspace", "--k", "3"),
+    ("simulate-halfspace", "--delta", "nan"),
+    ("simulate-halfspace", "--reward-cap", "1.0"),
+    ("simulate-halfspace", "--environment", "sorted_k"),
+    ("simulate-bandit", "--eta", "0.1"),
+    ("simulate-bandit", "--zeta", "0.0"),
+    ("simulate-bandit", "--adversary", "iid"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", CROSS_KIND_FLAGS)
+def test_cli_cross_kind_flag_is_unrecognized_exit_two(command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--t-horizon", "5", flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("environment", ["massart2", "monotone_k"])
+def test_cli_baseline_takes_every_config_flag(environment, capsys):
+    # baseline picks its config class by environment, so it reads all 11 keys
+    argv = [
+        "baseline", "--d", "3", "--t-horizon", "20", "--eta", "0.1", "--gamma", "0.2",
+        "--zeta", "0.0", "--seed", "1", "--adversary", "iid", "--k", "3", "--delta", "0.5",
+        "--reward-cap", "1.0", "--environment", environment,
+    ]
+    assert len([a for a in argv if a.startswith("--")]) == len(CONFIG_KEYS)
+    assert cli.main(argv) == 0
+    expected = "halfspace" if environment == "massart2" else "bandit"
+    assert json.loads(capsys.readouterr().out)["kind"] == expected
 
 
 def test_cli_environment_violation_exit_four(monkeypatch):
-    def bad_round(adversary, target, learner_w, rng):
-        return target.w_star * 2.0, 1
+    def bad_round(stream, learner_w):
+        return stream.target.w_star * 2.0, 1
 
     monkeypatch.setattr(environments, "adversary_round", bad_round)
     code = cli.main(["simulate-halfspace", "--t-horizon", "10", "--adversary", "boundary"])
@@ -618,6 +663,18 @@ def test_cli_baseline_command(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert "baselines" in out and "perceptron" in out["baselines"]
+
+
+def test_cli_baseline_bandit_environment_reports_the_bandit_run(capsys):
+    flags = ["--d", "4", "--t-horizon", "150", "--seed", "3", "--environment", "monotone_k"]
+    assert cli.main(["baseline", *flags]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert cli.main(["simulate-bandit", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert summary["kind"] == "bandit"
+    assert summary["baselines"]["perceptron"] is None
+    assert summary["learner"] == report["total_reward"]
+    assert summary["baselines"] == report["baselines"]
 
 
 def test_cli_infinite_config_file_value_exit_two(tmp_path, capsys):
@@ -720,7 +777,7 @@ def test_cli_out_naming_a_file_exit_two(tmp_path, capsys):
     out.write_text("not a directory")
     argv = ["simulate-halfspace", "--t-horizon", "20", "--out", str(out)]
     assert cli.main(argv) == 2
-    assert "cannot use --out" in capsys.readouterr().err
+    assert f"cannot use {out} as an output directory" in capsys.readouterr().err
     assert out.read_text() == "not a directory"
 
 
@@ -777,6 +834,41 @@ def test_cli_domain_radius_config_key_exit_two(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_run_many_csv_path_taken_by_a_directory_is_a_config_error_before_any_run(tmp_path):
+    # seed 0 runs first, so a late check would have written run_0.csv
+    (tmp_path / "run_1.csv").mkdir()
+    cfg = _halfspace_config(t_horizon=10)
+    with pytest.raises(ConfigError, match="run_1.csv: it is a directory"):
+        run_many(run_halfspace_experiment, cfg, [0, 1], out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_1.csv"]
+
+
+def test_run_many_creates_a_missing_out_dir(tmp_path):
+    out = tmp_path / "a" / "b"
+    run_many(run_halfspace_experiment, _halfspace_config(t_horizon=10), [0, 2], out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == ["run_0.csv", "run_2.csv"]
+
+
+def test_run_many_out_dir_naming_a_file_is_a_config_error(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    with pytest.raises(ConfigError, match="as an output directory"):
+        run_many(run_halfspace_experiment, _halfspace_config(t_horizon=10), [0], out_dir=out)
+    assert out.read_text() == "not a directory"
+
+
+def test_run_many_report_digest_ignores_every_per_seed_wall_time():
+    cfg = _halfspace_config(t_horizon=50)
+    first = run_many(run_halfspace_experiment, cfg, [0, 1])
+    second = run_many(run_halfspace_experiment, cfg, [0, 1])
+    assert report_digest(first) == report_digest(second)
+    for i, run in enumerate(second["per_seed"]):
+        run["wall_time_s"] = 1000.0 + i
+    assert report_digest(first) == report_digest(second)
+    second["per_seed"][1]["total_mistakes"] += 1
+    assert report_digest(first) != report_digest(second)
+
+
 def test_run_many_takes_a_str_out_dir(tmp_path):
     cfg = _halfspace_config(t_horizon=10)
     run_many(run_halfspace_experiment, cfg, [4], out_dir=str(tmp_path))
@@ -816,7 +908,7 @@ def test_cli_out_csv_path_taken_by_a_directory_exit_two(tmp_path, capsys):
     argv = ["simulate-halfspace", "--t-horizon", "5", "--out", str(tmp_path)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "cannot write --out file" in captured.err
+    assert f"cannot write {tmp_path / 'run_0.csv'}: it is a directory" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
     assert not (tmp_path / "report.json").exists()
@@ -831,7 +923,7 @@ def test_cli_out_report_path_taken_by_a_directory_exit_two_before_any_round(
     argv = ["simulate-bandit", "--t-horizon", "5", "--seeds", seeds, "--out", str(tmp_path)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "cannot write --out file" in captured.err
+    assert f"cannot write {tmp_path / 'report.json'}: it is a directory" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
     assert not list(tmp_path.rglob("*.csv"))

@@ -145,8 +145,8 @@ def test_reduce_classification_examples():
     # each round of the 2-arm reduction is a labeled iid point (x, y) of the
     # halfspace stream: context (x, -x) byte for byte, rewards ((1+y)/2, (1-y)/2)
     target = HiddenTarget(w_star=random_unit(seeded_rng(50), 4), gamma=0.2, delta=0.8)
-    env = ReductionEnvironment(target, partial(_audit_context, target=target, k=2))
     rng_env, rng_ref = seeded_rng(51), seeded_rng(51)
+    env = ReductionEnvironment(target, 2, rng_env, partial(_audit_context, target=target, k=2))
     points, labels = [], []
     for _ in range(2):  # two blocks, so the second block is checked too
         block = iid_points(env.point_target, rng_ref, BLOCK)
@@ -154,7 +154,7 @@ def test_reduce_classification_examples():
         labels.extend(massart_labels(env.point_target, block, rng_ref))
     assert set(labels) == {-1, 1}
     for x, y in zip(points, labels):
-        ctx, rewards = env.next_round(rng_env)
+        ctx, rewards = env.next_round()
         assert ctx.shape == (4, 2)
         assert ctx[:, 0].tobytes() == x.tobytes()
         assert ctx[:, 1].tobytes() == (-x).tobytes()
