@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .core import (
     ADVERSARIES,
+    BANDIT_ENVIRONMENTS,
     CONFIG_KEYS,
     ENVIRONMENTS,
     BanditConfig,
@@ -40,15 +41,15 @@ EXIT_ENVIRONMENT = 4
 
 # value type of each config key, read off the config dataclasses
 _KEY_TYPES = {f.name: f.type for cls in (HalfspaceConfig, BanditConfig) for f in fields(cls)}
-_KEY_CHOICES = {"adversary": ADVERSARIES, "environment": ENVIRONMENTS}
 
 
-def _add_config_flags(parser, keys):
+def _add_config_flags(parser, keys, environments):
     parser.add_argument("--config", help="flat JSON key/value config file")
+    choices = {"adversary": ADVERSARIES, "environment": environments}
     for key in keys:
         flag = "--" + key.replace("_", "-")
-        if key in _KEY_CHOICES:
-            parser.add_argument(flag, choices=_KEY_CHOICES[key])
+        if key in choices:
+            parser.add_argument(flag, choices=choices[key])
         else:
             parser.add_argument(flag, type=_KEY_TYPES[key])
 
@@ -135,7 +136,9 @@ def build_parser():
         ("simulate-bandit", _cmd_simulate_bandit, BanditConfig, "run the k-arm learner"),
     ):
         p_sim = sub.add_parser(name, help=text)
-        _add_config_flags(p_sim, [f.name for f in fields(cls) if f.init])
+        # only simulate-bandit has an --environment flag, and it runs the
+        # bandit environments only
+        _add_config_flags(p_sim, [f.name for f in fields(cls) if f.init], BANDIT_ENVIRONMENTS)
         p_sim.add_argument("--seeds", type=int, default=1, help="fan out over this many seeds")
         p_sim.add_argument("--out", help="directory for run_<seed>.csv and report.json")
         p_sim.set_defaults(func=func)
@@ -147,7 +150,7 @@ def build_parser():
 
     p_base = sub.add_parser("baseline", help="report baseline metrics for a config")
     # baseline picks its config class by environment, so it reads every key
-    _add_config_flags(p_base, CONFIG_KEYS)
+    _add_config_flags(p_base, CONFIG_KEYS, ENVIRONMENTS)
     p_base.set_defaults(func=_cmd_baseline)
 
     return parser

@@ -6,11 +6,10 @@ while loss subgradients at a kink take the minimal-norm choice (slope 0 for
 the |t| term).
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-
-from .optimizer import float_sum, norm
 
 
 class LossEval(NamedTuple):
@@ -84,6 +83,20 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
     and the loss is sum_{j != alpha} leaky_margin_loss(delta, w.z_j, y_j)
     divided by |v.z_j|, the halfspace learner's loss on the k-1 rows z_j;
     the construction makes |v.z_j| >= rho*||v|| > 0.
+
+    No row z_j is built: the loss depends on them only through the arm
+    scores t_i = w.x_i and u_i = v.x_i, ||v|| and w.v. With gap_j = u_alpha -
+    u_j and s_j = sign_of(gap_j),
+
+        w.z_j = (t_alpha - t_j) + (rho/||v||) * s_j * (w.v),
+        |v.z_j| = |gap_j| + rho*||v||,
+
+    and with c_j the leaky margin subgradient at w.z_j over |v.z_j|, the
+    subgradient sum_j c_j z_j is X @ a + (rho/||v||) * (sum_j c_j s_j) * v,
+    where a[alpha] = sum_j c_j and a[j] = -c_j. The zero-norm form is the
+    same with c_j = -lambda_cap * y_j and no shift. Every sum runs left to
+    right over increasing j. The learner passes its iterate as v, and then
+    its explore round takes three BLAS products here: w @ X, v.v and X @ a.
     """
     k = X.shape[1]
     if not 0 <= alpha < k:
@@ -92,24 +105,40 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         raise ValueError("rho must be positive")
     if lambda_cap <= 0:
         raise ValueError("lambda_cap must be positive")
-    others = [j for j in range(k) if j != alpha]
-    diffs = X[:, alpha : alpha + 1] - X
-    vnorm = norm(v)
+    t, r = (w @ X).tolist(), rewards.tolist()
+    vv = float(v.dot(v))
+    vnorm = math.sqrt(vv)
+    t_alpha, r_alpha = t[alpha], r[alpha]
+    a = [0.0] * k
+    value = c_sum = 0.0
     if vnorm == 0:
-        y = rewards[alpha] - rewards[others]
-        grad = -lambda_cap * (diffs[:, others] @ y)
-        return LossEval(float(np.dot(w, grad)), grad)
-    sgn = np.array([1.0 if p >= 0 else -1.0 for p in (diffs.T @ v).tolist()])
-    # scaling v before the signs is exact: a product with +-1 only sets a sign
-    Z = diffs + ((rho / vnorm) * v)[:, None] * sgn
-    # per-arm terms on floats, in the order of the array form, so both give
-    # the same bytes; the learner's reference vector is its iterate, and then
-    # the one product serves as both
-    den = (Z.T @ v).tolist()
-    t, r = den if v is w else (Z.T @ w).tolist(), rewards.tolist()
-    vals, coef = [], []
-    for j in others:
-        tj, yj, dj = t[j], r[alpha] - r[j], abs(den[j])
-        vals.append(leaky_margin_loss(delta, tj, yj) / dj)
-        coef.append(leaky_margin_subgrad(delta, tj, yj) / dj)
-    return LossEval(float_sum(vals), Z[:, others] @ np.array(coef))
+        for j in range(k):
+            if j != alpha:
+                yj = r_alpha - r[j]
+                # multiplied in the order of the linear form above
+                value += -lambda_cap * (t_alpha - t[j]) * yj
+                c = -lambda_cap * yj
+                a[j] = -c
+                c_sum += c
+        a[alpha] = c_sum
+        return LossEval(value, X @ np.array(a))
+    # the learner's reference vector is its iterate, and then the one product
+    # w @ X serves as both scores
+    u = t if v is w else (v @ X).tolist()
+    scale = rho / vnorm
+    wv = vv if v is w else float(w.dot(v))
+    shift, floor = scale * wv, rho * vnorm
+    u_alpha, signed_sum = u[alpha], 0.0
+    for j in range(k):
+        if j == alpha:
+            continue
+        gap = u_alpha - u[j]
+        tj, yj, dj = t_alpha - t[j], r_alpha - r[j], abs(gap) + floor
+        tj = tj + shift if gap >= 0 else tj - shift
+        value += leaky_margin_loss(delta, tj, yj) / dj
+        c = leaky_margin_subgrad(delta, tj, yj) / dj
+        a[j] = -c
+        c_sum += c
+        signed_sum += c if gap >= 0 else -c
+    a[alpha] = c_sum
+    return LossEval(value, X @ np.array(a) + (scale * signed_sum) * v)

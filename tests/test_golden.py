@@ -30,6 +30,17 @@ re-projected an iterate whose computed norm was 1 + 1 ulp. That moved w in
 11 of the monotone_k golden's 696 TAILS rounds, and in none of the sorted_k
 or reduction2 goldens.
 
+The 3 bandit CSV pins moved once more when arm_gap_loss began to work on
+arm scores instead of building the shifted rows z_j: the loss and its
+subgradient are the same linear functions of w . x_i, v . x_i, ||v|| and
+w . v, taken in another order, so the last bits of the iterate move. The
+4 halfspace CSV pins and all 7 report digests held, no action moved, and
+each run ends on the same cum_metric. Of the 2000 rows, these columns
+moved: score 1013, loss 309 and w_norm 1250 in sorted_k; score 319, loss
+150 and w_norm 30 in monotone_k; score 771, loss 480 and w_norm 927 in
+reduction2. No loss moved by more than 8.9e-16, no score by more than
+2.1e-14 of its value, and no w_norm by more than 2.2e-16.
+
 Every pin was taken under OpenBLAS's SkylakeX kernels. Its dot products sum
 in a different order on another core, so the float bytes move there, and
 the boundary and adaptive totals with them; a failure message names the core
@@ -73,17 +84,17 @@ GOLDEN = {
     ),
     "sorted_k": (
         BanditConfig(**BANDIT, environment="sorted_k"),
-        "5e46057bd181fb8c01cede35f3163280e73f31fdf04d786a55f4ed2a77ff9b6c",
+        "7ef4bc1757a37d28176831acd139ea85869683fa456a5a2f16370aaca0b02dd1",
         "9adff553ba7d45833f60f8e6869d683814ac6d36b050621ba6b7ad30338fc19b",
     ),
     "monotone_k": (
         BanditConfig(**BANDIT, environment="monotone_k"),
-        "68dd9eebe0e5d1c8e2fb2fd106dc4fb53ab1c8d169bbf0b127a4a7579e0ebcac",
+        "a920e45d6f9c54a48a1fc7c92fae4d00231dd58b7eb41027ca568eedc27cb4db",
         "09eb4b708e1a5831af6ae4b7f1b6955142115d10d85a3883124e71306236b54b",
     ),
     "reduction2": (
         BanditConfig(**dict(BANDIT, k=2, gamma=0.4, delta=0.8), environment="reduction2"),
-        "5e08d4cbc450ce9ad2cbc349f28d50ac7f079be0293b6e2dfe4b1469814a2a6c",
+        "6b6774adaa099601763f23b446f1751908b91f2c61035f23dfbd645ae4b35ec2",
         "4916724a594721e7c166669ea51519e0dc3fdf65976fe50468986e64c6dd4a02",
     ),
 }

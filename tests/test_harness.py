@@ -535,7 +535,11 @@ def test_cli_verify_quick_exit_zero(capsys):
 def test_cli_config_error_exit_two(capsys):
     assert cli.main(["simulate-halfspace", "--d", "0", "--t-horizon", "10"]) == 2
     assert cli.main(["simulate-halfspace", "--eta", "0.7", "--t-horizon", "10"]) == 2
-    assert cli.main(["simulate-bandit", "--environment", "massart2"]) == 2
+    # massart2 is not among simulate-bandit's choices, so argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate-bandit", "--environment", "massart2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'massart2'" in capsys.readouterr().err
 
 
 def test_cli_halfspace_bandit_environment_in_config_file_exit_two(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from massart_online.core import seeded_rng
+from massart_online import learner_bandit
+from massart_online.core import BanditConfig, seeded_rng
+from massart_online.harness import run_bandit_experiment
 from massart_online.losses import (
     arm_gap_loss,
     leaky_margin_loss,
@@ -197,21 +201,60 @@ def test_arm_gap_loss_underflowing_reference_takes_zero_branch():
     assert tiny.value == zero.value == pytest.approx(-0.5)
 
 
+def _left_to_right(values):
+    # arm_gap_loss sums over the other arms left to right, from 0.0
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
 def _arm_gap_loss_array_form(w, kw):
-    # the whole-array arithmetic arm_gap_loss used before its per-arm terms
-    # moved to floats; both must return the same bytes
-    X, a = kw["X"], kw["alpha"]
-    y = kw["rewards"][a] - kw["rewards"]
-    diffs = X[:, [a]] - X
+    # the score arithmetic of arm_gap_loss on whole arrays, for a nonzero v:
+    # the scores w @ X and v @ X, ||v|| and w . v stand in for the rows z_j;
+    # both must return the same bytes. Also returns the signs s_j and the
+    # denominators |v . z_j| of the other arms.
+    X, a, v = kw["X"], kw["alpha"], kw["v"]
     mask = np.arange(X.shape[1]) != a
-    v = kw["v"]
-    sgn = np.where(diffs.T @ v >= 0, 1.0, -1.0)
-    Z = diffs + (kw["rho"] / float(np.linalg.norm(v))) * np.outer(v, sgn)
-    den = np.abs(Z.T @ v)
-    t = Z.T @ w
-    vals = 0.5 * (kw["delta"] * np.abs(t) - y * t) / den
-    coef = 0.5 * (kw["delta"] * np.sign(t) - y) / den
-    return float(vals[mask].sum()), Z[:, mask] @ coef[mask]
+    t = w @ X
+    u = t if v is w else v @ X
+    vv = float(v.dot(v))
+    vnorm = math.sqrt(vv)
+    scale = kw["rho"] / vnorm
+    y = (kw["rewards"][a] - kw["rewards"])[mask]
+    gap = (u[a] - u)[mask]
+    sgn = np.where(gap >= 0, 1.0, -1.0)
+    tz = (t[a] - t)[mask] + sgn * (scale * (vv if v is w else float(w.dot(v))))
+    den = np.abs(gap) + kw["rho"] * vnorm
+    vals = 0.5 * (kw["delta"] * np.abs(tz) - y * tz) / den
+    coef = 0.5 * (kw["delta"] * np.sign(tz) - y) / den
+    a_coef = np.zeros(X.shape[1])
+    a_coef[mask] = -coef
+    a_coef[a] = _left_to_right(coef)
+    subgrad = X @ a_coef + (scale * _left_to_right(coef * sgn)) * v
+    return _left_to_right(vals), subgrad, sgn, den
+
+
+def _arm_gap_loss_shifted_rows(w, kw):
+    # the docstring's definition: build every row z_j and sum the halfspace
+    # loss over them, or the linear form when ||v|| is 0
+    X, a, v = kw["X"], kw["alpha"], kw["v"]
+    vnorm = float(np.linalg.norm(v))
+    value, subgrad = 0.0, np.zeros(X.shape[0])
+    for j in range(X.shape[1]):
+        if j == a:
+            continue
+        diff = X[:, a] - X[:, j]
+        y = kw["rewards"][a] - kw["rewards"][j]
+        if vnorm == 0:
+            value += -kw["lambda_cap"] * float(w @ diff) * y
+            subgrad += -kw["lambda_cap"] * y * diff
+            continue
+        z = diff + kw["rho"] * sign_of(float(diff @ v)) * v / vnorm
+        den = abs(float(v @ z))
+        value += leaky_margin_loss(kw["delta"], float(w @ z), y) / den
+        subgrad += leaky_margin_subgrad(kw["delta"], float(w @ z), y) / den * z
+    return value, subgrad
 
 
 @pytest.mark.parametrize("d,k", [(10, 3), (10, 2), (3, 6), (5, 12)])
@@ -229,7 +272,7 @@ def test_arm_gap_loss_matches_array_form_bytes(d, k):
         )
         # w = 0 puts every score on the kink, where np.sign(0) = 0
         w = rng.standard_normal(d) if rng.random() < 0.8 else np.zeros(d)
-        value, subgrad = _arm_gap_loss_array_form(w, kw)
+        value, subgrad, _, _ = _arm_gap_loss_array_form(w, kw)
         out = arm_gap_loss(w, **kw)
         assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
 
@@ -245,9 +288,68 @@ def test_arm_gap_loss_iterate_as_reference_matches_array_form_bytes(k):
             X=rng.uniform(-0.5, 0.5, (10, k)), v=w, rewards=rng.uniform(0.0, 2.0, k),
             alpha=int(rng.integers(k)), delta=0.5, rho=0.1, lambda_cap=1.0,
         )
-        value, subgrad = _arm_gap_loss_array_form(w, kw)
+        value, subgrad, _, _ = _arm_gap_loss_array_form(w, kw)
         out = arm_gap_loss(w, **kw)
         assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_arm_gap_loss_matches_shifted_rows(d):
+    # the score form against the rows z_j it never builds, for every k from
+    # 2 to 12 and reference vectors that are zero, underflow to norm 0, are
+    # unit, arbitrary, or the iterate itself; w = 0 too
+    rng = seeded_rng(42)
+    for k in range(2, 13):
+        for v_mode in ("zero", "tiny", "unit", "any", "is w"):
+            for w_zero in (False, True):
+                w = np.zeros(d) if w_zero else rng.uniform(-1.0, 1.0, d)
+                v = {
+                    "zero": np.zeros(d),
+                    "tiny": np.full(d, 1e-170),
+                    "unit": rng.standard_normal(d),
+                    "any": rng.uniform(-2.0, 2.0, d),
+                    "is w": w,
+                }[v_mode]
+                if v_mode == "unit":
+                    v = v / np.linalg.norm(v)
+                kw = dict(
+                    X=rng.uniform(-0.5, 0.5, (d, k)), v=v, rewards=rng.uniform(0.0, 2.0, k),
+                    alpha=int(rng.integers(k)), delta=rng.uniform(0.05, 1.0),
+                    rho=rng.uniform(0.02, 0.5), lambda_cap=rng.uniform(0.5, 40.0),
+                )
+                value, subgrad = _arm_gap_loss_shifted_rows(w, kw)
+                out = arm_gap_loss(w, **kw)
+                assert out.value == pytest.approx(value, rel=1e-12, abs=0.0)
+                assert np.max(np.abs(out.subgrad - subgrad)) <= 1e-12
+
+
+def test_arm_gap_loss_learner_call_has_plus_signs_and_floored_denominators(monkeypatch):
+    # the learner passes its iterate as v and its greedy arm as alpha, whose
+    # score is the largest entry of the same product w @ X; so every gap is
+    # >= 0, every sign is +1 and every denominator is at least rho*||w||
+    calls = []
+
+    def checked(w, X, v, rewards, alpha, delta, rho, lambda_cap):
+        kw = dict(X=X, v=v, rewards=rewards, alpha=alpha, delta=delta, rho=rho,
+                  lambda_cap=lambda_cap)
+        out = arm_gap_loss(w, **kw)
+        scores = (w @ X).tolist()
+        assert v is w and alpha == scores.index(max(scores))
+        value, subgrad, sgn, den = _arm_gap_loss_array_form(w, kw)
+        assert np.all(sgn == 1.0)
+        assert np.all(den >= rho * math.sqrt(float(w.dot(w))))
+        assert out.value == value and out.subgrad.tobytes() == subgrad.tobytes()
+        calls.append(alpha)
+        return out
+
+    monkeypatch.setattr(learner_bandit, "arm_gap_loss", checked)
+    for environment, k in (("monotone_k", 3), ("sorted_k", 5)):
+        config = BanditConfig(
+            d=6, k=k, t_horizon=600, gamma=0.1, delta=0.2, reward_cap=1.0, seed=3,
+            environment=environment,
+        )
+        run_bandit_experiment(config)
+    assert len(calls) > 300
 
 
 def test_arm_gap_loss_main_branch_hand_example():
@@ -279,8 +381,8 @@ def test_arm_gap_loss_rejects_bad_params():
 def test_arm_gap_loss_denominator_never_vanishes():
     # v . z_j = sign(v . diff_j) * (|v . diff_j| + rho * ||v||), even when
     # v . diff_j == 0 under the sign_of(0) = +1 convention
-    out = arm_gap_loss(
-        np.array([0.3, 0.7]),
+    w = np.array([0.3, 0.7])
+    kw = dict(
         X=np.array([[0.0, 0.0], [0.4, -0.4]]),  # diffs orthogonal to v
         v=np.array([1.0, 0.0]),
         rewards=np.array([1.0, 0.0]),
@@ -289,8 +391,13 @@ def test_arm_gap_loss_denominator_never_vanishes():
         rho=0.25,
         lambda_cap=1.0,
     )
+    out = arm_gap_loss(w, **kw)
     assert np.isfinite(out.value)
     assert np.all(np.isfinite(out.subgrad))
+    # the shift at a zero gap goes along +v, as in the rows z_j
+    value, subgrad = _arm_gap_loss_shifted_rows(w, kw)
+    assert out.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert out.subgrad == pytest.approx(subgrad, rel=0.0, abs=1e-12)
 
 
 def test_subgradient_inequality_small_sample():
