@@ -74,7 +74,7 @@ def derive_halfspace_params(eta, gamma, t_horizon, zeta=0.0):
     tau = epsilon ** (1.0 + zeta) * gamma / 4.0
     if tau == 0:
         raise ConfigError(f"tau underflows to 0 at zeta={zeta}, gamma={gamma}")
-    step = optimizer.step_size(2.0, 1.0 / tau, t_horizon)
+    step = optimizer.step_size(1.0 / tau, t_horizon)
     return {
         "epsilon": epsilon,
         "delta_tilde": delta_tilde,
@@ -106,7 +106,7 @@ def derive_bandit_params(gamma, delta, reward_cap, k, t_horizon):
     q_raw = reward_cap / (gamma * lambda_cap * delta)
     q = min(1.0, q_raw)
     grad_bound = (1.0 / q) * 2.0 * reward_cap * k * max(lambda_cap, 1.0 / rho)
-    step = optimizer.step_size(2.0, grad_bound, t_horizon)
+    step = optimizer.step_size(grad_bound, t_horizon)
     return {
         "rho": rho,
         "lambda_cap": lambda_cap,

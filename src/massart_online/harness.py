@@ -68,16 +68,6 @@ class _Perceptron:
             self.w = self.w + y * x
 
 
-def perceptron_baseline(stream):
-    """Mistakes of the classic perceptron on an iterable of (x, y) rounds."""
-    model = None
-    for x, y in stream:
-        if model is None:
-            model = _Perceptron(x.shape[0])
-        model.observe(x, y)
-    return model.mistakes if model is not None else 0
-
-
 def _draws(draw, rng):
     """The baselines' own random draws one at a time, draw(rng, BLOCK) giving
     a block of them; they are not environment rows, so nothing audits them."""

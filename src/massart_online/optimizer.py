@@ -1,19 +1,18 @@
-"""Projected online gradient descent over a Euclidean ball with a fixed step size."""
+"""Projected online gradient descent over the unit ball with a fixed step size."""
 
 import math
 
 import numpy as np
 
 
-def step_size(diameter, grad_bound, t_horizon):
-    """Fixed step diameter / (grad_bound * sqrt(T)) for a known horizon T."""
-    if diameter <= 0:
-        raise ValueError("diameter must be positive")
+def step_size(grad_bound, t_horizon):
+    """Fixed step 2 / (grad_bound * sqrt(T)) for a known horizon T, where 2 is
+    the unit ball's diameter."""
     if grad_bound <= 0:
         raise ValueError("grad_bound must be positive")
     if t_horizon < 1:
         raise ValueError("t_horizon must be at least 1")
-    return diameter / (grad_bound * math.sqrt(t_horizon))
+    return 2.0 / (grad_bound * math.sqrt(t_horizon))
 
 
 def norm(v):
@@ -34,21 +33,16 @@ def float_sum(values):
     return total
 
 
-def project_ball(w, radius):
-    """Euclidean projection onto the centered ball of the given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    w_norm = norm(w)
-    if w_norm <= radius:
-        return w
-    return w * (radius / w_norm)
-
-
-def ogd_update(w, subgrad, step, radius=1.0):
-    """One projected gradient step from w; returns the new iterate."""
+def ogd_update(w, subgrad, step):
+    """One projected gradient step from w; returns the new iterate, the step's
+    point scaled back onto the unit ball when it lands outside."""
     subgrad = np.asarray(subgrad)
     if subgrad.shape != w.shape:
         raise ValueError(
             f"subgradient shape {subgrad.shape} does not match iterate shape {w.shape}"
         )
-    return project_ball(w - step * subgrad, radius)
+    w = w - step * subgrad
+    w_norm = norm(w)
+    if w_norm <= 1.0:
+        return w
+    return w * (1.0 / w_norm)

@@ -269,17 +269,17 @@ def check_tau_guard():
 
 
 def check_ogd_feasibility(seed=8, n_runs=50, t_steps=200):
-    """Iterates stay inside the ball under arbitrary subgradient sequences."""
+    """Iterates stay inside the unit ball under arbitrary subgradient
+    sequences, from starts both inside and outside it."""
     rng = seeded_rng(seed)
     worst = 0.0
     for _ in range(n_runs):
         d = int(rng.integers(1, 9))
-        radius = rng.uniform(0.2, 3.0)
-        w = random_unit(rng, d) * radius
+        w = random_unit(rng, d) * rng.uniform(0.2, 3.0)
         step = rng.uniform(0.001, 1.0)
         for _ in range(t_steps):
-            w = ogd_update(w, rng.standard_normal(d) * rng.uniform(0.0, 5.0), step, radius)
-            worst = max(worst, float(np.linalg.norm(w)) - radius)
+            w = ogd_update(w, rng.standard_normal(d) * rng.uniform(0.0, 5.0), step)
+            worst = max(worst, float(np.linalg.norm(w)) - 1.0)
     return _result(
         "ogd_feasibility", worst <= 1e-12, f"max radius excess {worst:.3e}"
     )
@@ -293,7 +293,7 @@ def ogd_regret_curve(horizons=(1_000, 10_000, 100_000), d=3):
     """
     regrets = []
     for t_horizon in horizons:
-        step = step_size(2.0, 1.0, t_horizon)
+        step = step_size(1.0, t_horizon)
         w = np.zeros(d)
         w[0] = 1.0
         total = 0.0

@@ -1,10 +1,10 @@
 """Session-wide test helpers: the run header names numpy and the BLAS kernel,
-since the pinned transcripts depend on the kernel OpenBLAS picks at run time."""
+since float bytes depend on the kernel OpenBLAS picks at run time;
+tests/test_golden.py's subprocess names its forced core the same way."""
 
 import ctypes
 
 import numpy
-import pytest
 
 
 def blas_core_name():
@@ -34,8 +34,3 @@ def pytest_report_header(config):
 def pytest_terminal_summary(terminalreporter):
     # again at the end, where a -q run, which prints no header, shows it too
     terminalreporter.write_line(_kernel_line())
-
-
-@pytest.fixture(scope="session")
-def blas_core():
-    return blas_core_name()

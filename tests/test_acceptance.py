@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from massart_online.core import BanditConfig, HalfspaceConfig
-from massart_online.harness import run_bandit_experiment, run_halfspace_experiment
+from massart_online.harness import run_bandit_experiment, run_halfspace_experiment, run_many
 from massart_online.oracles import (
     check_debiasing,
     check_gap_loss_lipschitz,
@@ -33,13 +33,9 @@ def _announce(name, passed, detail):
 def _halfspace_means(adversary, eta, gamma=0.2, d=20):
     means = {}
     for t_horizon in HORIZONS:
-        totals = []
-        for seed in range(N_SEEDS):
-            cfg = HalfspaceConfig(
-                d=d, t_horizon=t_horizon, eta=eta, gamma=gamma, seed=seed, adversary=adversary
-            )
-            totals.append(run_halfspace_experiment(cfg)["total_mistakes"])
-        means[t_horizon] = float(np.mean(totals))
+        cfg = HalfspaceConfig(d=d, t_horizon=t_horizon, eta=eta, gamma=gamma, adversary=adversary)
+        runs = run_many(run_halfspace_experiment, cfg, range(N_SEEDS))
+        means[t_horizon] = runs["mean_total_mistakes"]
     return means
 
 
@@ -123,14 +119,12 @@ def test_c06_sublinear_noiseless_mistakes():
 def test_c07_bandit_reward_gap():
     t0 = time.perf_counter()
     k, delta, gamma, cap, t_horizon = 3, 0.5, 0.2, 1.0, 100_000
-    gaps = []
-    for seed in range(N_SEEDS):
-        cfg = BanditConfig(
-            d=10, k=k, t_horizon=t_horizon, gamma=gamma, delta=delta, reward_cap=cap,
-            seed=seed, environment="monotone_k",
-        )
-        report = run_bandit_experiment(cfg)
-        gaps.append(report["bound_check"]["played_gap_vs_uniform"])
+    cfg = BanditConfig(
+        d=10, k=k, t_horizon=t_horizon, gamma=gamma, delta=delta, reward_cap=cap,
+        environment="monotone_k",
+    )
+    runs = run_many(run_bandit_experiment, cfg, range(N_SEEDS))
+    gaps = [report["bound_check"]["played_gap_vs_uniform"] for report in runs["per_seed"]]
     elapsed = time.perf_counter() - t0
     mean_gap = float(np.mean(gaps))
     threshold = 0.5 * (1 - 1 / k) * delta * t_horizon
@@ -148,14 +142,12 @@ def test_c08_reduction_consistency():
     # eta = 0.1 enters through the reward margin delta = 1 - 2*eta; the
     # greedy-arm reward is the bandit-side twin of T minus the mistakes
     eta, t_horizon = 0.1, 100_000
-    rates = []
-    for seed in range(N_SEEDS):
-        cfg = BanditConfig(
-            d=10, k=2, t_horizon=t_horizon, gamma=1.0, delta=1.0 - 2 * eta, reward_cap=1.0,
-            seed=seed, environment="reduction2",
-        )
-        report = run_bandit_experiment(cfg)
-        rates.append(1.0 - report["greedy_reward"] / t_horizon)
+    cfg = BanditConfig(
+        d=10, k=2, t_horizon=t_horizon, gamma=1.0, delta=1.0 - 2 * eta, reward_cap=1.0,
+        environment="reduction2",
+    )
+    runs = run_many(run_bandit_experiment, cfg, range(N_SEEDS))
+    rates = [1.0 - report["greedy_reward"] / t_horizon for report in runs["per_seed"]]
     mean_rate = float(np.mean(rates))
     ok = mean_rate <= eta + 0.08
     _announce(

@@ -18,7 +18,6 @@ from massart_online.core import (
 from massart_online.harness import (
     CSV_HEADER,
     EnvironmentViolation,
-    perceptron_baseline,
     report_digest,
     report_json,
     run_bandit_experiment,
@@ -344,10 +343,6 @@ def test_runners_and_cli_call_the_module_level_hooks(tmp_path, monkeypatch, caps
     assert len(runs) == 1 and len(draws) == 37 + 19
 
 
-def test_perceptron_baseline_empty_stream():
-    assert perceptron_baseline([]) == 0
-
-
 def test_perceptron_noiseless_margin_mistake_bound():
     # classical bound: at most 1/gamma^2 mistakes on a noiseless margin stream
     rng = seeded_rng(0)
@@ -357,13 +352,15 @@ def test_perceptron_noiseless_margin_mistake_bound():
     )
     points = environments.iid_points(target, rng, 5000)
     labels = environments.massart_labels(target, points, rng)
-    stream = list(zip(points, labels))
-    assert perceptron_baseline(stream) <= 1.0 / gamma**2
+    perceptron = harness._Perceptron(5)
+    for x, y in zip(points, labels):
+        perceptron.observe(x, y)
+    assert perceptron.mistakes <= 1.0 / gamma**2
 
 
 def test_inline_perceptron_matches_standalone():
     # rebuild the exact stream the run consumed (same seed, same per-run
-    # block source, same order) and feed it to the standalone perceptron op
+    # block source, same order) and feed it to a perceptron of its own
     from massart_online.core import spawn_streams
     from massart_online.learner_halfspace import HalfspaceLearner
 
@@ -377,12 +374,12 @@ def test_inline_perceptron_matches_standalone():
         cfg.adversary, target, rng_env, functools.partial(harness._audit_point, target=target)
     )
     learner = HalfspaceLearner(cfg)
-    stream = []
+    perceptron = harness._Perceptron(cfg.d)
     for _ in range(cfg.t_horizon):
         x, y = environments.adversary_round(source, learner.w)
-        stream.append((x, y))
+        perceptron.observe(x, y)
         learner.observe(x, y)
-    assert perceptron_baseline(stream) == report["baselines"]["perceptron"]
+    assert perceptron.mistakes == report["baselines"]["perceptron"]
 
 
 def _drawn(monkeypatch, owner, name, index=0):
