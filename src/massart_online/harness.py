@@ -146,14 +146,14 @@ def run_halfspace_experiment(config, csv_path=None):
             x, y = environments.adversary_round(stream, learner.w)
             if audit_rounds:
                 _audit_point(x, y, target)
-            score, evaluated = learner.observe(x, y)
+            score, value = learner.observe(x, y)
             guess = 1 if next(heads) else -1
             if guess != y:
                 random_mistakes += 1
             perceptron.observe(x, y)
             if sink.fh:
                 sink.write(
-                    f"{t},{sign_of(score)},{y},{float(score)!r},{float(evaluated.value)!r},0,"
+                    f"{t},{sign_of(score)},{y},{score!r},{value!r},0,"
                     f"{learner.mistakes},{norm(learner.w)!r}\n"
                 )
     finally:

@@ -27,7 +27,7 @@ def select_action(w, context, rng):
 
 
 def fake_rewards(k, reward_cap, beta, r_beta):
-    """Debiasing surrogate for a single observed arm.
+    """Debiasing surrogate for a single observed arm, as a list of k floats.
 
     Entry beta is (k-1)*r_beta, every other entry is reward_cap - r_beta;
     averaging the induced gap vectors over beta recovers the true gaps, so
@@ -35,7 +35,7 @@ def fake_rewards(k, reward_cap, beta, r_beta):
     """
     if not 0 <= beta < k:
         raise ValueError(f"beta={beta} out of range for k={k}")
-    fake = np.full(k, reward_cap - r_beta, dtype=float)
+    fake = [reward_cap - r_beta] * k
     fake[beta] = (k - 1) * r_beta
     return fake
 
@@ -97,11 +97,4 @@ class BanditLearner:
             loss_value = 0.0
         self.round += 1
         self.cumulative_reward += observed
-        return BanditFeedback(
-            observed_reward=observed,
-            played_arm=played,
-            explored=explored,
-            greedy_arm=alpha,
-            score=score,
-            loss_value=loss_value,
-        )
+        return BanditFeedback(observed, played, explored, alpha, score, loss_value)

@@ -25,14 +25,14 @@ class HalfspaceLearner:
         """Counts the mistake of sign_of(w . x), then updates on the
         reweighted loss at the current iterate, which is also the loss's
         reference vector, so the one score w . x serves all three. Returns
-        that score, taken before the update, and the round's LossEval."""
+        that score, taken before the update, and the round's loss value."""
         config = self.config
         if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
         score = float(self.w.dot(x))
         if sign_of(score) != y:
             self.mistakes += 1
-        evaluated = reweighted_margin_loss(score, score, x, y, config.tau, config.delta_tilde)
-        self.w = ogd_update(self.w, evaluated.subgrad, config.step_size)
+        value, coef = reweighted_margin_loss(score, score, y, config.tau, config.delta_tilde)
+        self.w = ogd_update(self.w, coef * x, config.step_size)
         self.round += 1
-        return score, evaluated
+        return score, value

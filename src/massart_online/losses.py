@@ -52,31 +52,35 @@ def leaky_margin_subgrad(delta, t, y):
     return 0.5 * (delta * s - y)
 
 
-def reweighted_margin_loss(t, t_ref, x, y, tau, delta_tilde):
-    """Per-round loss of w on the point x, from its scores t = w.x and
+def reweighted_margin_loss(t, t_ref, y, tau, delta_tilde):
+    """Per-round loss of w on a point x, from its scores t = w.x and
     t_ref = w_ref.x: the leaky margin loss at t divided by max(|t_ref|, tau).
+    Returns (value, coef), two floats.
 
     w_ref is the current iterate and is treated as a constant, so the
-    denominator carries no gradient; the subgradient in w is a multiple of x,
-    with norm at most (delta_tilde+1)/(2*tau) times ||x||.
+    denominator carries no gradient; the subgradient in w is coef * x, with
+    norm at most (delta_tilde+1)/(2*tau) times ||x||.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     denom = max(abs(t_ref), tau)
-    coef = leaky_margin_subgrad(delta_tilde, t, y) / denom
-    return LossEval(leaky_margin_loss(delta_tilde, t, y) / denom, coef * x)
+    return (
+        leaky_margin_loss(delta_tilde, t, y) / denom,
+        leaky_margin_subgrad(delta_tilde, t, y) / denom,
+    )
 
 
 def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
     """Convex loss over arm-score gaps around the chosen arm alpha.
 
     X holds the k arms as the columns of a (d, k) matrix and v is the
-    reference vector. rewards is the vector the loss is built from; when the
-    debiasing surrogate is plugged in its entries may exceed the environment
-    cap. With reward gaps y_j = r[alpha] - r[j]: if v has norm 0 (v is zero,
-    or so small that its norm underflows) the loss is the linear form
-    -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j. Otherwise
-    each difference is pushed distance rho away from v's decision boundary,
+    reference vector. rewards is the list of k floats r the loss is built
+    from; when the debiasing surrogate is plugged in its entries may exceed
+    the environment cap. With reward gaps y_j = r[alpha] - r[j]: if v has
+    norm 0 (v is zero, or so small that its norm underflows) the loss is the
+    linear form -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j.
+    Otherwise each difference is pushed distance rho away from v's decision
+    boundary,
 
         z_j = (x_alpha - x_j) + rho * sign((x_alpha - x_j) . v) * v/||v||,
 
@@ -105,16 +109,16 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         raise ValueError("rho must be positive")
     if lambda_cap <= 0:
         raise ValueError("lambda_cap must be positive")
-    t, r = (w @ X).tolist(), rewards.tolist()
+    t = (w @ X).tolist()
     vv = float(v.dot(v))
     vnorm = math.sqrt(vv)
-    t_alpha, r_alpha = t[alpha], r[alpha]
+    t_alpha, r_alpha = t[alpha], rewards[alpha]
     a = [0.0] * k
     value = c_sum = 0.0
     if vnorm == 0:
         for j in range(k):
             if j != alpha:
-                yj = r_alpha - r[j]
+                yj = r_alpha - rewards[j]
                 # multiplied in the order of the linear form above
                 value += -lambda_cap * (t_alpha - t[j]) * yj
                 c = -lambda_cap * yj
@@ -133,7 +137,7 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         if j == alpha:
             continue
         gap = u_alpha - u[j]
-        tj, yj, dj = t_alpha - t[j], r_alpha - r[j], abs(gap) + floor
+        tj, yj, dj = t_alpha - t[j], r_alpha - rewards[j], abs(gap) + floor
         tj = tj + shift if gap >= 0 else tj - shift
         value += leaky_margin_loss(delta, tj, yj) / dj
         c = leaky_margin_subgrad(delta, tj, yj) / dj

@@ -16,8 +16,8 @@ def step_size(grad_bound, t_horizon):
 
 
 def norm(v):
-    """The float np.linalg.norm(v) returns, without its costly dispatch."""
-    v = v.ravel(order="K")
+    """The float np.linalg.norm(v) returns for a contiguous 1-D v, without its
+    costly dispatch."""
     return math.sqrt(v.dot(v))
 
 
@@ -34,9 +34,9 @@ def float_sum(values):
 
 
 def ogd_update(w, subgrad, step):
-    """One projected gradient step from w; returns the new iterate, the step's
-    point scaled back onto the unit ball when it lands outside."""
-    subgrad = np.asarray(subgrad)
+    """One projected gradient step from w along the ndarray subgrad; returns
+    the new iterate, the step's point scaled back onto the unit ball when it
+    lands outside."""
     if subgrad.shape != w.shape:
         raise ValueError(
             f"subgradient shape {subgrad.shape} does not match iterate shape {w.shape}"

@@ -88,7 +88,7 @@ def _random_gap_params(rng, v_mode, d_max=8, k_max=6):
     k = int(rng.integers(2, k_max + 1))
     columns = np.column_stack([sample_ball(rng, d) for _ in range(k)])
     cap = rng.uniform(0.5, 2.0)
-    rewards = rng.uniform(0.0, cap, k)
+    rewards = rng.uniform(0.0, cap, k).tolist()
     alpha = int(rng.integers(k))
     if v_mode == "zero":
         v = np.zeros(d)
@@ -127,9 +127,9 @@ def check_subgradient_inequality(seed=2, n=10_000, tol=1e-9):
         w = sample_ball(rng, d)
         u = sample_ball(rng, d)
         t_ref = float(w_ref @ x)
-        fw = reweighted_margin_loss(float(w @ x), t_ref, x, y, tau, delta_tilde)
-        fu = reweighted_margin_loss(float(u @ x), t_ref, x, y, tau, delta_tilde)
-        worst = max(worst, fw.value + float(fw.subgrad @ (u - w)) - fu.value)
+        fw, coef = reweighted_margin_loss(float(w @ x), t_ref, y, tau, delta_tilde)
+        fu, _ = reweighted_margin_loss(float(u @ x), t_ref, y, tau, delta_tilde)
+        worst = max(worst, fw + float((coef * x) @ (u - w)) - fu)
         v_mode = "zero" if i % 2 == 0 else "any"
         kw, _ = _random_gap_params(rng, v_mode)
         dd = kw["X"].shape[0]
@@ -151,11 +151,10 @@ def check_midpoint_convexity(seed=3, n=10_000, tol=1e-9):
         w = sample_ball(rng, d)
         u = sample_ball(rng, d)
         t_ref = float(w_ref @ x)
-        mid = reweighted_margin_loss(float((w + u) / 2.0 @ x), t_ref, x, y, tau, delta_tilde).value
-        avg = (
-            reweighted_margin_loss(float(w @ x), t_ref, x, y, tau, delta_tilde).value
-            + reweighted_margin_loss(float(u @ x), t_ref, x, y, tau, delta_tilde).value
-        ) / 2.0
+        mid, _ = reweighted_margin_loss(float((w + u) / 2.0 @ x), t_ref, y, tau, delta_tilde)
+        fw, _ = reweighted_margin_loss(float(w @ x), t_ref, y, tau, delta_tilde)
+        fu, _ = reweighted_margin_loss(float(u @ x), t_ref, y, tau, delta_tilde)
+        avg = (fw + fu) / 2.0
         worst = max(worst, mid - avg)
         v_mode = "zero" if i % 2 == 0 else "any"
         kw, _ = _random_gap_params(rng, v_mode)
@@ -251,9 +250,9 @@ def check_reweighted_subgrad_norm(seed=7, n=10_000, tol=1e-12):
     for _ in range(n):
         d, x, y, w_ref, tau, delta_tilde = _reweighted_instance(rng)
         w = sample_ball(rng, d)
-        evaluated = reweighted_margin_loss(float(w @ x), float(w_ref @ x), x, y, tau, delta_tilde)
+        _, coef = reweighted_margin_loss(float(w @ x), float(w_ref @ x), y, tau, delta_tilde)
         bound = (delta_tilde + 1.0) / (2.0 * tau) * float(np.linalg.norm(x))
-        worst = max(worst, float(np.linalg.norm(evaluated.subgrad)) - bound)
+        worst = max(worst, float(np.linalg.norm(coef * x)) - bound)
     return _result(
         "reweighted_subgrad_norm", worst <= tol, f"max excess {worst:.3e} over {n} draws"
     )
@@ -262,7 +261,7 @@ def check_reweighted_subgrad_norm(seed=7, n=10_000, tol=1e-12):
 def check_tau_guard():
     """Nonpositive tau must be rejected."""
     try:
-        reweighted_margin_loss(1.0, 1.0, np.ones(2), 1, 0.0, 0.4)
+        reweighted_margin_loss(1.0, 1.0, 1, 0.0, 0.4)
     except ValueError:
         return _result("tau_guard", True, "tau=0 rejected with ValueError")
     return _result("tau_guard", False, "tau=0 was accepted")
@@ -374,7 +373,7 @@ def check_fake_gap_identity(seed=10, n=1_000, tol=1e-12):
         alpha = int(rng.integers(k))
         gap_sum = np.zeros(k)
         for beta in range(k):
-            fake = fake_rewards(k, cap, beta, rewards[beta])
+            fake = np.array(fake_rewards(k, cap, beta, rewards[beta]))
             gap_sum += fake[alpha] - fake
         worst = max(
             worst, float(np.max(np.abs(gap_sum / k - (rewards[alpha] - rewards))))

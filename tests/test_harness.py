@@ -343,6 +343,32 @@ def test_runners_and_cli_call_the_module_level_hooks(tmp_path, monkeypatch, caps
     assert len(runs) == 1 and len(draws) == 37 + 19
 
 
+def _first_call_only(monkeypatch, owner, name):
+    # the calls that reach a wrapper which, like the benchmark's first-round
+    # hook, puts the original binding back on its first call
+    calls = []
+    original = getattr(owner, name)
+
+    def first(*args):
+        calls.append(args)
+        setattr(owner, name, original)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, first)
+    return calls
+
+
+def test_round_loops_look_up_the_draw_hook_every_round(monkeypatch):
+    # a loop that took the binding once before its first round would keep
+    # calling the wrapper after it was restored; the test above cannot tell
+    draws = _first_call_only(monkeypatch, environments, "adversary_round")
+    run_halfspace_experiment(_halfspace_config(t_horizon=50))
+    assert len(draws) == 1
+    contexts = _first_call_only(monkeypatch, environments.MonotoneRewardEnvironment, "next_round")
+    run_bandit_experiment(_bandit_config(t_horizon=50))
+    assert len(contexts) == 1
+
+
 def test_perceptron_noiseless_margin_mistake_bound():
     # classical bound: at most 1/gamma^2 mistakes on a noiseless margin stream
     rng = seeded_rng(0)

@@ -31,9 +31,10 @@ def test_observe_full_update_hand_example():
     stub = SimpleNamespace(d=2, t_horizon=10, tau=0.1, delta_tilde=0.4, step_size=0.2)
     learner = HalfspaceLearner(stub)
     x = np.array([0.5, 0.0])
-    _, out = learner.observe(x, -1)
-    # subgrad = 0.5*(0.4*1 + 1) * x / 0.5 = (0.7, 0); w' = (1 - 0.2*0.7, 0)
-    assert out.subgrad == pytest.approx(np.array([0.7, 0.0]))
+    score, value = learner.observe(x, -1)
+    # value = 0.5*(0.4*0.5 + 0.5) / 0.5 = 0.7; subgrad = 0.5*(0.4*1 + 1) * x /
+    # 0.5 = (0.7, 0); w' = (1 - 0.2*0.7, 0)
+    assert score == 0.5 and value == pytest.approx(0.7)
     assert learner.w == pytest.approx(np.array([0.86, 0.0]))
     assert learner.mistakes == 1
     assert learner.round == 1
@@ -45,19 +46,18 @@ def test_update_happens_even_when_prediction_correct():
     x = np.array([0.4, 0.3])
     assert learner.predict(x) == 1
     before = learner.w.copy()
-    _, out = learner.observe(x, 1)
+    _, value = learner.observe(x, 1)
     assert learner.mistakes == 0
-    assert np.any(out.subgrad != 0)
+    assert value < 0
     assert not np.allclose(learner.w, before)
 
 
 def test_zero_point_changes_nothing_but_the_round():
     learner = HalfspaceLearner(_config())
     before = learner.w.copy()
-    _, out = learner.observe(np.zeros(2), 1)
-    assert out.value == 0.0
-    assert out.subgrad == pytest.approx(np.zeros(2))
-    assert learner.w == pytest.approx(before)
+    _, value = learner.observe(np.zeros(2), 1)
+    assert value == 0.0
+    assert learner.w.tobytes() == before.tobytes()
     assert learner.round == 1
 
 
@@ -79,8 +79,8 @@ def test_observe_returns_the_score_before_the_update():
     for _ in range(300):
         x = rng.uniform(-0.5, 0.5, 5)
         w_before = learner.w.copy()
-        score, _ = learner.observe(x, 1 if rng.random() < 0.5 else -1)
-        assert type(score) is float
+        score, value = learner.observe(x, 1 if rng.random() < 0.5 else -1)
+        assert type(score) is float and type(value) is float
         assert score.hex() == float(w_before.dot(x)).hex()
 
 

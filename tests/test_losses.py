@@ -89,17 +89,17 @@ def test_reweighted_loss_hand_example():
     w = np.array([1.0, 0.0])
     x = np.array([0.5, 0.0])
     t = float(w @ x)
-    out = reweighted_margin_loss(t, t, x, 1, tau=0.1, delta_tilde=0.4)
-    assert out.value == pytest.approx(-0.3)
-    assert out.subgrad == pytest.approx(np.array([-0.3, 0.0]))
+    value, coef = reweighted_margin_loss(t, t, 1, tau=0.1, delta_tilde=0.4)
+    assert value == pytest.approx(-0.3)
+    assert coef * x == pytest.approx(np.array([-0.3, 0.0]))
 
 
 def test_reweighted_loss_zero_score_is_zero():
     w = np.array([0.0, 1.0])
     x = np.array([1.0, 0.0])
     t = float(w @ x)
-    out = reweighted_margin_loss(t, t, x, -1, tau=0.1, delta_tilde=0.4)
-    assert out.value == 0.0
+    value, _ = reweighted_margin_loss(t, t, -1, tau=0.1, delta_tilde=0.4)
+    assert value == 0.0
 
 
 def test_reweighted_loss_tau_clamp_fires():
@@ -107,9 +107,9 @@ def test_reweighted_loss_tau_clamp_fires():
     w_ref = np.array([0.0, 1.0])
     x = np.array([1.0, 0.0])  # w_ref . x == 0, denominator falls back to tau
     t = float(np.array([1.0, 0.0]) @ x)
-    out = reweighted_margin_loss(t, float(w_ref @ x), x, 1, tau=0.1, delta_tilde=0.4)
+    value, _ = reweighted_margin_loss(t, float(w_ref @ x), 1, tau=0.1, delta_tilde=0.4)
     # value = 0.5*(0.4*1 - 1)/0.1
-    assert out.value == pytest.approx(-3.0)
+    assert value == pytest.approx(-3.0)
 
 
 def _vector_form(w, x, y, w_ref, tau, delta_tilde):
@@ -123,8 +123,8 @@ def _vector_form(w, x, y, w_ref, tau, delta_tilde):
 
 def test_reweighted_loss_matches_vector_form_bytes():
     # the score form, fed w.dot(x) as the learner takes it, gives the value
-    # and subgradient bytes of the vector form, at t = 0 and under the tau
-    # floor too
+    # and, as coef * x, the subgradient bytes of the vector form, at t = 0
+    # and under the tau floor too
     rng = seeded_rng(9)
     for i in range(3000):
         d = int(rng.integers(1, 13))
@@ -138,18 +138,18 @@ def test_reweighted_loss_matches_vector_form_bytes():
         t, t_ref = float(w.dot(x)), float(w_ref.dot(x))
         assert t == 0.0 or i % 3 != 1
         assert abs(t_ref) < tau or i % 3 != 2
-        got = reweighted_margin_loss(t, t_ref, x, y, tau, delta_tilde)
+        got, coef = reweighted_margin_loss(t, t_ref, y, tau, delta_tilde)
         value, subgrad = _vector_form(w, x, y, w_ref, tau, delta_tilde)
-        assert got.value.hex() == value.hex()
-        assert got.subgrad.tobytes() == subgrad.tobytes()
+        assert type(got) is float and type(coef) is float
+        assert got.hex() == value.hex()
+        assert (coef * x).tobytes() == subgrad.tobytes()
 
 
 def test_reweighted_loss_rejects_nonpositive_tau():
-    x = np.ones(2)
     with pytest.raises(ValueError):
-        reweighted_margin_loss(2.0, 2.0, x, 1, tau=0.0, delta_tilde=0.4)
+        reweighted_margin_loss(2.0, 2.0, 1, tau=0.0, delta_tilde=0.4)
     with pytest.raises(ValueError):
-        reweighted_margin_loss(2.0, 2.0, x, 1, tau=-0.1, delta_tilde=0.4)
+        reweighted_margin_loss(2.0, 2.0, 1, tau=-0.1, delta_tilde=0.4)
 
 
 def test_arm_gap_loss_zero_branch_hand_example():
@@ -157,7 +157,7 @@ def test_arm_gap_loss_zero_branch_hand_example():
     kw = dict(
         X=np.array([[0.5, -0.5], [0.0, 0.0]]),
         v=np.zeros(2),
-        rewards=np.array([0.7, 0.2]),
+        rewards=[0.7, 0.2],
         alpha=0,
         delta=0.5,
         rho=0.1,
@@ -174,7 +174,7 @@ def test_arm_gap_loss_zero_branch_equal_rewards_vanishes():
     kw = dict(
         X=rng.uniform(-0.5, 0.5, (3, 4)),
         v=np.zeros(3),
-        rewards=np.full(4, 0.3),
+        rewards=[0.3] * 4,
         alpha=2,
         delta=0.5,
         rho=0.1,
@@ -189,7 +189,7 @@ def test_arm_gap_loss_underflowing_reference_takes_zero_branch():
     # v is nonzero, but its norm underflows to 0 and cannot divide rho
     kw = dict(
         X=np.array([[0.5, -0.5], [0.0, 0.0]]),
-        rewards=np.array([0.7, 0.2]),
+        rewards=[0.7, 0.2],
         alpha=0,
         delta=0.5,
         rho=0.1,
@@ -221,7 +221,8 @@ def _arm_gap_loss_array_form(w, kw):
     vv = float(v.dot(v))
     vnorm = math.sqrt(vv)
     scale = kw["rho"] / vnorm
-    y = (kw["rewards"][a] - kw["rewards"])[mask]
+    rewards = np.array(kw["rewards"])
+    y = (rewards[a] - rewards)[mask]
     gap = (u[a] - u)[mask]
     sgn = np.where(gap >= 0, 1.0, -1.0)
     tz = (t[a] - t)[mask] + sgn * (scale * (vv if v is w else float(w.dot(v))))
@@ -264,7 +265,7 @@ def test_arm_gap_loss_matches_array_form_bytes(d, k):
         kw = dict(
             X=rng.uniform(-0.5, 0.5, (d, k)),
             v=rng.standard_normal(d),
-            rewards=rng.uniform(0.0, 2.0, k),
+            rewards=rng.uniform(0.0, 2.0, k).tolist(),
             alpha=int(rng.integers(k)),
             delta=0.5,
             rho=0.1,
@@ -285,7 +286,7 @@ def test_arm_gap_loss_iterate_as_reference_matches_array_form_bytes(k):
     for _ in range(200):
         w = rng.standard_normal(10)
         kw = dict(
-            X=rng.uniform(-0.5, 0.5, (10, k)), v=w, rewards=rng.uniform(0.0, 2.0, k),
+            X=rng.uniform(-0.5, 0.5, (10, k)), v=w, rewards=rng.uniform(0.0, 2.0, k).tolist(),
             alpha=int(rng.integers(k)), delta=0.5, rho=0.1, lambda_cap=1.0,
         )
         value, subgrad, _, _ = _arm_gap_loss_array_form(w, kw)
@@ -313,7 +314,8 @@ def test_arm_gap_loss_matches_shifted_rows(d):
                 if v_mode == "unit":
                     v = v / np.linalg.norm(v)
                 kw = dict(
-                    X=rng.uniform(-0.5, 0.5, (d, k)), v=v, rewards=rng.uniform(0.0, 2.0, k),
+                    X=rng.uniform(-0.5, 0.5, (d, k)), v=v,
+                    rewards=rng.uniform(0.0, 2.0, k).tolist(),
                     alpha=int(rng.integers(k)), delta=rng.uniform(0.05, 1.0),
                     rho=rng.uniform(0.02, 0.5), lambda_cap=rng.uniform(0.5, 40.0),
                 )
@@ -335,6 +337,7 @@ def test_arm_gap_loss_learner_call_has_plus_signs_and_floored_denominators(monke
         out = arm_gap_loss(w, **kw)
         scores = (w @ X).tolist()
         assert v is w and alpha == scores.index(max(scores))
+        assert type(rewards) is list
         value, subgrad, sgn, den = _arm_gap_loss_array_form(w, kw)
         assert np.all(sgn == 1.0)
         assert np.all(den >= rho * math.sqrt(float(w.dot(w))))
@@ -358,7 +361,7 @@ def test_arm_gap_loss_main_branch_hand_example():
         np.array([1.0, 0.0]),
         X=np.array([[0.25, -0.25], [0.0, 0.0]]),
         v=np.array([1.0, 0.0]),
-        rewards=np.array([1.0, 0.0]),
+        rewards=[1.0, 0.0],
         alpha=0,
         delta=0.5,
         rho=0.1,
@@ -369,13 +372,13 @@ def test_arm_gap_loss_main_branch_hand_example():
 
 
 def test_arm_gap_loss_rejects_bad_params():
-    X, w = np.zeros((2, 2)), np.zeros(2)
+    X, w, r = np.zeros((2, 2)), np.zeros(2), [0.0, 0.0]
     with pytest.raises(ValueError):
-        arm_gap_loss(w, X, w, w, alpha=2, delta=0.5, rho=0.1, lambda_cap=1.0)
+        arm_gap_loss(w, X, w, r, alpha=2, delta=0.5, rho=0.1, lambda_cap=1.0)
     with pytest.raises(ValueError):
-        arm_gap_loss(w, X, w, w, alpha=0, delta=0.5, rho=0.0, lambda_cap=1.0)
+        arm_gap_loss(w, X, w, r, alpha=0, delta=0.5, rho=0.0, lambda_cap=1.0)
     with pytest.raises(ValueError):
-        arm_gap_loss(w, X, w, w, alpha=0, delta=0.5, rho=0.1, lambda_cap=0.0)
+        arm_gap_loss(w, X, w, r, alpha=0, delta=0.5, rho=0.1, lambda_cap=0.0)
 
 
 def test_arm_gap_loss_denominator_never_vanishes():
@@ -385,7 +388,7 @@ def test_arm_gap_loss_denominator_never_vanishes():
     kw = dict(
         X=np.array([[0.0, 0.0], [0.4, -0.4]]),  # diffs orthogonal to v
         v=np.array([1.0, 0.0]),
-        rewards=np.array([1.0, 0.0]),
+        rewards=[1.0, 0.0],
         alpha=0,
         delta=0.5,
         rho=0.25,
