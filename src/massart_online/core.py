@@ -33,8 +33,9 @@ BLOCK = 256
 MAX_BLOCK_DOUBLES = 2**24
 
 ADVERSARIES = ("iid", "boundary", "adaptive")
-ENVIRONMENTS = ("massart2", "sorted_k", "monotone_k", "reduction2")
 BANDIT_ENVIRONMENTS = ("sorted_k", "monotone_k", "reduction2")
+ENVIRONMENTS = ("massart2", *BANDIT_ENVIRONMENTS)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -190,10 +191,10 @@ def _settle(config, derive, *names):
 class HalfspaceConfig:
     """Full configuration of one halfspace run, derived schedule included."""
 
-    d: int
-    t_horizon: int
-    eta: float
-    gamma: float
+    d: int = 10
+    t_horizon: int = 10_000
+    eta: float = 0.1
+    gamma: float = 0.2
     zeta: float = 0.0
     seed: int = 0
     adversary: str = "iid"
@@ -213,11 +214,11 @@ class HalfspaceConfig:
 class BanditConfig:
     """Full configuration of one k-arm run, derived schedule included."""
 
-    d: int
-    k: int
-    t_horizon: int
-    gamma: float
-    delta: float
+    d: int = 10
+    k: int = 3
+    t_horizon: int = 10_000
+    gamma: float = 0.2
+    delta: float = 0.5
     reward_cap: float = 1.0
     seed: int = 0
     environment: str = "monotone_k"
@@ -250,9 +251,6 @@ CONFIG_KEYS = tuple(
     dict.fromkeys(f.name for cls in (HalfspaceConfig, BanditConfig) for f in fields(cls) if f.init)
 )
 
-# what a config reader gives a required field the mapping leaves out
-_READ_DEFAULTS = {"d": 10, "k": 3, "t_horizon": 10000, "eta": 0.1, "gamma": 0.2, "delta": 0.5}
-
 
 def config_dict(config):
     """Flat field dict of a config dataclass, derived values included."""
@@ -281,12 +279,11 @@ def _check_keys(mapping):
 
 
 def _config_from(cls, mapping):
-    # each init field of cls from the mapping; one it leaves out takes the
-    # reader's default, or else the class's. A key of neither class is an
-    # error; one of the other class is not, so one mapping serves both.
+    # the init fields of cls that the mapping holds; the class defaults the
+    # rest. A key of neither class is an error; one of the other class is
+    # not, so one mapping serves both.
     _check_keys(mapping)
-    values = {**_READ_DEFAULTS, **mapping}
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.init and f.name in values})
+    return cls(**{f.name: mapping[f.name] for f in fields(cls) if f.init and f.name in mapping})
 
 
 def halfspace_config_from(mapping):

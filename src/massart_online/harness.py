@@ -25,7 +25,7 @@ from .core import BLOCK, ConfigError, config_dict, spawn_streams
 from .learner_bandit import BanditLearner
 from .learner_halfspace import HalfspaceLearner
 from .losses import sign_of
-from .optimizer import float_sum, norm
+from .optimizer import norm
 
 CSV_HEADER = "round,action,observed,score,loss,explored,cum_metric,w_norm"
 
@@ -209,16 +209,19 @@ def run_bandit_experiment(config, csv_path=None):
             context, rewards = env.next_round()
             values = rewards.tolist()
             feedback = learner.play_round(context, values.__getitem__)
-            # the sum over the count is the float rewards.mean() returns
-            uniform_sum += float_sum(values) / k
+            # left to right, as arm_gap_loss sums; builtin sum compensates
+            # float sums from Python 3.12 on
+            total = 0.0
+            for value in values:
+                total += value
+            uniform_sum += total / k
             greedy_sum += values[feedback.greedy_arm]
             random_play += values[next(arms)]
             if sink.fh:
                 sink.write(
-                    f"{t},{feedback.played_arm},{float(feedback.observed_reward)!r},"
-                    f"{float(feedback.score)!r},{float(feedback.loss_value)!r},"
-                    f"{feedback.explored:d},{float(learner.cumulative_reward)!r},"
-                    f"{norm(learner.w)!r}\n"
+                    f"{t},{feedback.played_arm},{feedback.observed_reward!r},"
+                    f"{feedback.score!r},{feedback.loss_value!r},{feedback.explored:d},"
+                    f"{learner.cumulative_reward!r},{norm(learner.w)!r}\n"
                 )
     finally:
         sink.close()

@@ -73,34 +73,28 @@ def reweighted_margin_loss(t, t_ref, y, tau, delta_tilde):
 def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
     """Convex loss over arm-score gaps around the chosen arm alpha.
 
-    X holds the k arms as the columns of a (d, k) matrix and v is the
-    reference vector. rewards is the list of k floats r the loss is built
-    from; when the debiasing surrogate is plugged in its entries may exceed
-    the environment cap. With reward gaps y_j = r[alpha] - r[j]: if v has
-    norm 0 (v is zero, or so small that its norm underflows) the loss is the
-    linear form -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j.
-    Otherwise each difference is pushed distance rho away from v's decision
-    boundary,
+    X holds the k arms as the columns of a (d, k) matrix, v is the reference
+    vector and rewards the list of k floats r (the debiasing surrogate's
+    entries may exceed the environment cap); y_j = r[alpha] - r[j]. If v has
+    norm 0 (zero, or its norm underflows) the loss is the linear form
+    -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j. Otherwise it
+    is the halfspace learner's loss on the k-1 rows
 
-        z_j = (x_alpha - x_j) + rho * sign((x_alpha - x_j) . v) * v/||v||,
+        z_j = (x_alpha - x_j) + rho * sign_of((x_alpha - x_j) . v) * v/||v||,
 
-    and the loss is sum_{j != alpha} leaky_margin_loss(delta, w.z_j, y_j)
-    divided by |v.z_j|, the halfspace learner's loss on the k-1 rows z_j;
-    the construction makes |v.z_j| >= rho*||v|| > 0.
+    the sum of reweighted_margin_loss(w.z_j, |v.z_j|, y_j, rho*||v||, delta).
+    The shift makes |v.z_j| >= rho*||v||, so the floor never fires; a
+    rho*||v|| that underflows to 0 raises its ValueError, which the config
+    magnitude bounds keep runs far from.
 
-    No row z_j is built: the loss depends on them only through the arm
-    scores t_i = w.x_i and u_i = v.x_i, ||v|| and w.v. With gap_j = u_alpha -
-    u_j and s_j = sign_of(gap_j),
-
-        w.z_j = (t_alpha - t_j) + (rho/||v||) * s_j * (w.v),
-        |v.z_j| = |gap_j| + rho*||v||,
-
-    and with c_j the leaky margin subgradient at w.z_j over |v.z_j|, the
-    subgradient sum_j c_j z_j is X @ a + (rho/||v||) * (sum_j c_j s_j) * v,
-    where a[alpha] = sum_j c_j and a[j] = -c_j. The zero-norm form is the
-    same with c_j = -lambda_cap * y_j and no shift. Every sum runs left to
-    right over increasing j. The learner passes its iterate as v, and then
-    its explore round takes three BLAS products here: w @ X, v.v and X @ a.
+    No row z_j is built. With t_i = w.x_i, u_i = v.x_i, gap_j = u_alpha - u_j
+    and s_j = sign_of(gap_j): w.z_j = (t_alpha - t_j) + (rho/||v||) * s_j *
+    (w.v) and |v.z_j| = |gap_j| + rho*||v||; with c_j the loss's coefficient,
+    the subgradient sum_j c_j z_j is X @ a + (rho/||v||) * (sum_j c_j s_j) * v,
+    where a[alpha] = sum_j c_j and a[j] = -c_j (the zero-norm form has
+    c_j = -lambda_cap * y_j and no shift). Every sum runs left to right over
+    increasing j. With the iterate as v, as the learner passes it, this takes
+    three BLAS products: w @ X, v.v and X @ a.
     """
     k = X.shape[1]
     if not 0 <= alpha < k:
@@ -139,8 +133,9 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         gap = u_alpha - u[j]
         tj, yj, dj = t_alpha - t[j], r_alpha - rewards[j], abs(gap) + floor
         tj = tj + shift if gap >= 0 else tj - shift
-        value += leaky_margin_loss(delta, tj, yj) / dj
-        c = leaky_margin_subgrad(delta, tj, yj) / dj
+        # dj >= floor, so the loss's max(dj, floor) is dj bit for bit
+        value_j, c = reweighted_margin_loss(tj, dj, yj, floor, delta)
+        value += value_j
         a[j] = -c
         c_sum += c
         signed_sum += c if gap >= 0 else -c

@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 
 def step_size(grad_bound, t_horizon):
     """Fixed step 2 / (grad_bound * sqrt(T)) for a known horizon T, where 2 is
@@ -19,18 +17,6 @@ def norm(v):
     """The float np.linalg.norm(v) returns for a contiguous 1-D v, without its
     costly dispatch."""
     return math.sqrt(v.dot(v))
-
-
-def float_sum(values):
-    """The float np.array(values).sum() returns for a list of floats: below 8
-    terms numpy adds them left to right from 0.0, as this loop does; from 8
-    on it sums pairwise, so those go to numpy."""
-    if len(values) >= 8:
-        return float(np.array(values).sum())
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def ogd_update(w, subgrad, step):

@@ -5,8 +5,10 @@ from massart_online.core import (
     BanditConfig,
     ConfigError,
     HalfspaceConfig,
+    bandit_config_from,
     derive_bandit_params,
     derive_halfspace_params,
+    halfspace_config_from,
     load_config_file,
     seeded_rng,
     spawn_streams,
@@ -138,6 +140,21 @@ def test_bandit_config_validates_environment():
         BanditConfig(d=3, k=3, t_horizon=100, gamma=0.2, delta=0.5, environment="massart2")
     with pytest.raises(ConfigError):
         BanditConfig(d=3, k=3, t_horizon=100, gamma=0.2, delta=0.5, environment="reduction2")
+
+
+def test_config_readers_default_to_the_class_defaults():
+    # the classes hold the six documented defaults and the readers add none;
+    # a key of the other class leaves a reader's config as it was
+    halfspace = halfspace_config_from({})
+    assert halfspace == HalfspaceConfig() == halfspace_config_from({"k": 5, "delta": 0.3})
+    assert (halfspace.d, halfspace.t_horizon, halfspace.eta, halfspace.gamma) == (
+        10, 10_000, 0.1, 0.2
+    )
+    bandit = bandit_config_from({})
+    assert bandit == BanditConfig() == bandit_config_from({"eta": 0.3, "zeta": 1.0})
+    assert (bandit.d, bandit.k, bandit.t_horizon, bandit.gamma, bandit.delta) == (
+        10, 3, 10_000, 0.2, 0.5
+    )
 
 
 def test_load_config_file_roundtrip(tmp_path):

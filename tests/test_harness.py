@@ -450,10 +450,11 @@ def test_monotone_stream_prefix_does_not_depend_on_horizon(monkeypatch):
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_uniform_arm_mean_matches_array_form_bytes(k, monkeypatch):
-    # the per-round float(rewards.sum()) / rewards.size the baseline once
-    # added; from k = 8 on numpy sums pairwise, not left to right. A long
-    # run's total rounds a 1-ulp slip of one round away, so one-round runs
-    # of many seeds check each round's term too.
+    # each round adds its rewards' left-to-right sum over k. Below 8 arms
+    # that is the float rewards.sum() gives, so those cases pin the bytes
+    # the baseline had when it summed with numpy; from 8 on numpy sums
+    # pairwise. A long run's total rounds a 1-ulp slip of one round away, so
+    # one-round runs of many seeds check each round's term too.
     drawn = _drawn(monkeypatch, environments.SortedRewardEnvironment, "next_round", index=1)
     for seed, t_horizon in [(0, 300)] + [(seed, 1) for seed in range(1, 41)]:
         drawn.clear()
@@ -461,7 +462,12 @@ def test_uniform_arm_mean_matches_array_form_bytes(k, monkeypatch):
         report = run_bandit_experiment(dataclasses.replace(cfg, seed=seed))
         expected = 0.0
         for rewards in drawn:
-            expected += float(rewards.sum()) / rewards.size
+            total = 0.0
+            for reward in rewards.tolist():
+                total += reward
+            if k < 8:
+                assert total.hex() == float(rewards.sum()).hex()
+            expected += total / k
         assert len(drawn) == t_horizon
         assert report["baselines"]["uniform_arm_mean"].hex() == expected.hex()
 

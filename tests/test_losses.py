@@ -379,6 +379,12 @@ def test_arm_gap_loss_rejects_bad_params():
         arm_gap_loss(w, X, w, r, alpha=0, delta=0.5, rho=0.0, lambda_cap=1.0)
     with pytest.raises(ValueError):
         arm_gap_loss(w, X, w, r, alpha=0, delta=0.5, rho=0.1, lambda_cap=0.0)
+    # a nonzero ||v|| whose floor rho * ||v|| underflows to 0 is
+    # reweighted_margin_loss's tau <= 0
+    with pytest.raises(ValueError, match="tau must be positive"):
+        arm_gap_loss(
+            w, X, np.array([1e-160, 0.0]), r, alpha=0, delta=0.5, rho=1e-170, lambda_cap=1.0
+        )
 
 
 def test_arm_gap_loss_denominator_never_vanishes():
