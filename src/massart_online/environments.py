@@ -116,15 +116,17 @@ def massart_labels(target, points, rng):
     return np.where(flip, -clean, clean).tolist()
 
 
-def massart_label(target, x, eta_t, rng):
-    """Clean label sign_of(w_star . x), flipped with probability eta_t <= eta.
+def massart_label(target, x, eta_t, rng, clean=None):
+    """Clean label sign_of(w_star . x), flipped with probability eta_t <= eta;
+    a caller that already took the clean label passes it as clean.
 
     Kept per round rather than as the one-row case of massart_labels: the
     boundary and adaptive adversaries label every round with it, and the
     one-row array form costs about six times as much per call."""
     if eta_t < 0 or eta_t > target.eta:
         raise ValueError(f"per-round flip probability {eta_t} exceeds the cap {target.eta}")
-    clean = sign_of(float(target.w_star.dot(x)))
+    if clean is None:
+        clean = sign_of(float(target.w_star.dot(x)))
     flip = rng.random() < eta_t
     return -clean if flip else clean
 
@@ -203,7 +205,7 @@ def adversary_round(stream, learner_w):
         clean = sign_of(float(target.w_star.dot(x)))
         pred = sign_of(float(learner_w.dot(x)))
         eta_t = target.eta if pred == clean else 0.0
-        return x, massart_label(target, x, eta_t, rng)
+        return x, massart_label(target, x, eta_t, rng, clean)
     return x, massart_label(target, x, target.eta, rng)
 
 

@@ -10,14 +10,14 @@ from .losses import arm_gap_loss
 from .optimizer import ogd_update
 
 
-def select_action(w, context, rng):
-    """(arm, score): the argmax arm of w . x_i over the columns x_i of the
-    (d, k) context, lowest index on ties, and its score w . x_arm from the
-    one product w @ context; a uniform arm and 0.0 when w == 0."""
-    k = context.shape[1]
+def select_action(w, scores, rng):
+    """(arm, score): the argmax arm of the list scores, the round's one
+    product w.dot(context) over the k columns x_i of its (d, k) context,
+    lowest index on ties, and its score w . x_arm; a uniform arm and 0.0
+    when w == 0."""
+    k = len(scores)
     if k == 0:
         raise ValueError("empty context")
-    scores = (w @ context).tolist()
     # max keeps the first of equal maxima, as argmax does
     best = max(scores)
     # a zero w scores 0.0 on every arm, so only then is w itself looked at
@@ -78,7 +78,9 @@ class BanditLearner:
         if self.round >= config.t_horizon:
             raise RuntimeError(f"horizon {config.t_horizon} already exhausted")
         w = self.w
-        alpha, score = select_action(w, context, self.rng)
+        # the round's one product with the iterate, shared with the loss
+        scores = w.dot(context).tolist()
+        alpha, score = select_action(w, scores, self.rng)
         explored = self.rng.random() < config.q
         if explored:
             k = context.shape[1]
@@ -86,7 +88,8 @@ class BanditLearner:
             observed = float(reward_oracle(played))
             surrogate = fake_rewards(k, config.reward_cap, played, observed)
             evaluated = arm_gap_loss(
-                w, context, w, surrogate, alpha, config.delta, config.rho, config.lambda_cap
+                w, context, w, surrogate, alpha, config.delta, config.rho, config.lambda_cap,
+                scores=scores,
             )
             loss_value = evaluated.value / config.q
             self.w = ogd_update(w, evaluated.subgrad / config.q, config.step_size)

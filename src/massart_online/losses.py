@@ -70,12 +70,14 @@ def reweighted_margin_loss(t, t_ref, y, tau, delta_tilde):
     )
 
 
-def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
+def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap, scores=None):
     """Convex loss over arm-score gaps around the chosen arm alpha.
 
     X holds the k arms as the columns of a (d, k) matrix, v is the reference
     vector and rewards the list of k floats r (the debiasing surrogate's
-    entries may exceed the environment cap); y_j = r[alpha] - r[j]. If v has
+    entries may exceed the environment cap); y_j = r[alpha] - r[j]. scores,
+    when given, is the list w.dot(X).tolist() that the caller already took;
+    left out, the loss takes it itself, with the same bytes. If v has
     norm 0 (zero, or its norm underflows) the loss is the linear form
     -lambda_cap * sum_{j != alpha} (w . (x_alpha - x_j)) * y_j. Otherwise it
     is the halfspace learner's loss on the k-1 rows
@@ -90,11 +92,11 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
     No row z_j is built. With t_i = w.x_i, u_i = v.x_i, gap_j = u_alpha - u_j
     and s_j = sign_of(gap_j): w.z_j = (t_alpha - t_j) + (rho/||v||) * s_j *
     (w.v) and |v.z_j| = |gap_j| + rho*||v||; with c_j the loss's coefficient,
-    the subgradient sum_j c_j z_j is X @ a + (rho/||v||) * (sum_j c_j s_j) * v,
-    where a[alpha] = sum_j c_j and a[j] = -c_j (the zero-norm form has
+    the subgradient sum_j c_j z_j is X.dot(a) + (rho/||v||) * (sum_j c_j s_j) *
+    v, where a[alpha] = sum_j c_j and a[j] = -c_j (the zero-norm form has
     c_j = -lambda_cap * y_j and no shift). Every sum runs left to right over
-    increasing j. With the iterate as v, as the learner passes it, this takes
-    three BLAS products: w @ X, v.v and X @ a.
+    increasing j. The learner passes its iterate as v and its round's scores,
+    so the loss takes two BLAS products of its own: v.v and X.dot(a).
     """
     k = X.shape[1]
     if not 0 <= alpha < k:
@@ -103,7 +105,7 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         raise ValueError("rho must be positive")
     if lambda_cap <= 0:
         raise ValueError("lambda_cap must be positive")
-    t = (w @ X).tolist()
+    t = w.dot(X).tolist() if scores is None else scores
     vv = float(v.dot(v))
     vnorm = math.sqrt(vv)
     t_alpha, r_alpha = t[alpha], rewards[alpha]
@@ -119,10 +121,10 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
                 a[j] = -c
                 c_sum += c
         a[alpha] = c_sum
-        return LossEval(value, X @ np.array(a))
+        return LossEval(value, X.dot(np.array(a)))
     # the learner's reference vector is its iterate, and then the one product
-    # w @ X serves as both scores
-    u = t if v is w else (v @ X).tolist()
+    # w.dot(X) serves as both scores
+    u = t if v is w else v.dot(X).tolist()
     scale = rho / vnorm
     wv = vv if v is w else float(w.dot(v))
     shift, floor = scale * wv, rho * vnorm
@@ -140,4 +142,4 @@ def arm_gap_loss(w, X, v, rewards, alpha, delta, rho, lambda_cap):
         c_sum += c
         signed_sum += c if gap >= 0 else -c
     a[alpha] = c_sum
-    return LossEval(value, X @ np.array(a) + (scale * signed_sum) * v)
+    return LossEval(value, X.dot(np.array(a)) + (scale * signed_sum) * v)

@@ -60,6 +60,11 @@ total moved, only the float bytes of score, loss and w_norm (in 1796, 979
 and 1064 of the 2000 iid rows). The boundary_eta0.1, boundary_eta0 and
 adaptive report digests moved with their totals, 258 -> 227, 51 -> 54 and
 252 -> 256 mistakes, since about half of their actions moved.
+
+No pin moved when a bandit round began to take its scores once, as
+w.dot(context), and to hand them to arm_gap_loss, whose products went from
+@ to ndarray.dot: both entries reach the same gemv, which test_losses checks
+byte for byte on the round shapes.
 """
 
 import hashlib

@@ -46,13 +46,13 @@ def _config(**overrides):
 
 
 def test_select_action_argmax():
-    ctx = np.array([[0.9, 0.1], [0.0, 0.0]])
-    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0))[0] == 0
+    w, ctx = np.array([1.0, 0.0]), np.array([[0.9, 0.1], [0.0, 0.0]])
+    assert select_action(w, w.dot(ctx).tolist(), seeded_rng(0))[0] == 0
 
 
 def test_select_action_tie_lowest_index():
-    ctx = np.array([[0.4, 0.4, 0.1], [0.0, 0.0, 0.0]])
-    assert select_action(np.array([1.0, 0.0]), ctx, seeded_rng(0))[0] == 0
+    w, ctx = np.array([1.0, 0.0]), np.array([[0.4, 0.4, 0.1], [0.0, 0.0, 0.0]])
+    assert select_action(w, w.dot(ctx).tolist(), seeded_rng(0))[0] == 0
 
 
 def test_select_action_returns_the_argmax_score_of_its_one_product():
@@ -60,7 +60,7 @@ def test_select_action_returns_the_argmax_score_of_its_one_product():
     for _ in range(500):
         w = rng.normal(size=10)
         ctx = rng.uniform(-1.0, 1.0, (10, 3))
-        arm, score = select_action(w, ctx, rng)
+        arm, score = select_action(w, w.dot(ctx).tolist(), rng)
         scores = w @ ctx
         assert arm == int(scores.argmax())
         assert type(score) is float
@@ -81,14 +81,15 @@ def test_select_action_matches_argmax_bytes(k):
         elif trial % 3 == 2:
             w = np.array([rng.choice([-1.0, 1.0]), 0.0, 0.0, 0.0])
             ctx = rng.choice([0.0, -0.0], (4, k))
-        arm, score = select_action(w, ctx, rng)
+        arm, score = select_action(w, w.dot(ctx).tolist(), rng)
         scores = w @ ctx
         assert arm == int(scores.argmax())
         assert np.float64(score).tobytes() == scores[arm].tobytes()
 
 
 def test_select_action_zero_weight_scores_zero():
-    arm, score = select_action(np.zeros(2), np.array([[0.5, -0.5], [0.1, 0.2]]), seeded_rng(0))
+    w, ctx = np.zeros(2), np.array([[0.5, -0.5], [0.1, 0.2]])
+    arm, score = select_action(w, w.dot(ctx).tolist(), seeded_rng(0))
     assert arm in (0, 1)
     assert np.float64(score).tobytes() == np.float64(0.0).tobytes()
 
@@ -100,14 +101,15 @@ def test_select_action_zero_weight_uniform():
     n = 10_000
     counts = np.zeros(k)
     for _ in range(n):
-        counts[select_action(np.zeros(2), ctx, rng)[0]] += 1
+        counts[select_action(np.zeros(2), np.zeros(2).dot(ctx).tolist(), rng)[0]] += 1
     sigma = math.sqrt((1 / k) * (1 - 1 / k) / n)
     assert np.all(np.abs(counts / n - 1 / k) <= 3 * sigma)
 
 
 def test_select_action_empty_context():
+    w = np.array([1.0])
     with pytest.raises(ValueError):
-        select_action(np.array([1.0]), np.zeros((1, 0)), seeded_rng(0))
+        select_action(w, w.dot(np.zeros((1, 0))).tolist(), seeded_rng(0))
 
 
 def test_scale_invariance_oracle():

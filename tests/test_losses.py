@@ -331,10 +331,10 @@ def test_arm_gap_loss_learner_call_has_plus_signs_and_floored_denominators(monke
     # >= 0, every sign is +1 and every denominator is at least rho*||w||
     calls = []
 
-    def checked(w, X, v, rewards, alpha, delta, rho, lambda_cap):
+    def checked(w, X, v, rewards, alpha, delta, rho, lambda_cap, scores=None):
         kw = dict(X=X, v=v, rewards=rewards, alpha=alpha, delta=delta, rho=rho,
                   lambda_cap=lambda_cap)
-        out = arm_gap_loss(w, **kw)
+        out = arm_gap_loss(w, **kw, scores=scores)
         scores = (w @ X).tolist()
         assert v is w and alpha == scores.index(max(scores))
         assert type(rewards) is list
@@ -353,6 +353,42 @@ def test_arm_gap_loss_learner_call_has_plus_signs_and_floored_denominators(monke
         )
         run_bandit_experiment(config)
     assert len(calls) > 300
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_dot_has_the_bytes_of_matmul_on_round_shapes(d):
+    # a bandit round takes w.dot(context) and the loss X.dot(a), where the
+    # array forms and earlier pins used w @ X and X @ a: both entries must
+    # reach the same kernel, for fresh (d, k) arrays and for the (d, k) views
+    # of an (n, d, k) block that the environments serve
+    rng = seeded_rng(70 + d)
+    for k in range(2, 13):
+        block = rng.uniform(-1.0, 1.0, (4, d, k))
+        for X in (rng.uniform(-1.0, 1.0, (d, k)), *block):
+            w = rng.standard_normal(d)
+            a = np.array(rng.standard_normal(k).tolist())
+            assert w.dot(X).tobytes() == (w @ X).tobytes()
+            assert X.dot(a).tobytes() == (X @ a).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+def test_arm_gap_loss_given_scores_matches_its_own_bytes(k):
+    # the learner hands arm_gap_loss the scores of its round's one product;
+    # the loss must return the bytes it gets when it takes them itself, with
+    # the iterate as v, another v, and a v of norm 0
+    rng = seeded_rng(80 + k)
+    for trial in range(300):
+        d = int(rng.integers(1, 21))
+        w = rng.standard_normal(d)
+        v = (w, rng.standard_normal(d), np.zeros(d))[trial % 3]
+        kw = dict(
+            X=rng.uniform(-0.5, 0.5, (d, k)), v=v, rewards=rng.uniform(0.0, 2.0, k).tolist(),
+            alpha=int(rng.integers(k)), delta=0.5, rho=0.1, lambda_cap=1.0,
+        )
+        given = arm_gap_loss(w, **kw, scores=w.dot(kw["X"]).tolist())
+        taken = arm_gap_loss(w, **kw)
+        assert given.value.hex() == taken.value.hex()
+        assert given.subgrad.tobytes() == taken.subgrad.tobytes()
 
 
 def test_arm_gap_loss_main_branch_hand_example():
